@@ -14,11 +14,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nashlb/internal/core"
 	"nashlb/internal/dist"
 	"nashlb/internal/fleet/audit"
 	"nashlb/internal/game"
-	"nashlb/internal/megascale"
 	"nashlb/internal/rng"
 	"nashlb/internal/serve"
 )
@@ -90,17 +88,11 @@ type Config struct {
 	Trace *audit.Trace
 }
 
-// fleetSaturationRho mirrors the serve-layer saturation threshold: offered
-// load at or above this fraction of active capacity triggers degraded-mode
-// admission in the solved table.
-const fleetSaturationRho = 0.95
-
 // Node is one fleet replica: it serves traffic through its gateway from the
 // first request, probes its peers, takes over solving when it is the lowest
 // alive ID, and otherwise applies whatever fenced tables the leader pushes.
 type Node struct {
 	cfg    Config
-	rho    float64 // degraded-mode utilization ceiling
 	gw     *serve.Gateway
 	ln     net.Listener
 	srv    *http.Server
@@ -204,18 +196,12 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
-	rho := cfg.Gateway.DegradedRho
-	if rho <= 0 || rho >= 1 {
-		rho = 0.9
-	}
-
 	if cfg.Quorum < 0 {
 		return nil, fmt.Errorf("fleet: negative quorum %d", cfg.Quorum)
 	}
 
 	n := &Node{
 		cfg:      cfg,
-		rho:      rho,
 		quit:     make(chan struct{}),
 		kick:     make(chan struct{}, 1),
 		leader:   -1,
@@ -397,16 +383,17 @@ func (n *Node) Start(peers []string) error {
 		// Seed routing with the nominal full-game equilibrium at (epoch 0,
 		// version 1): identical on every replica (the solver is
 		// deterministic), superseded by the first elected leader's table.
-		profile, admitFrac := solveFleet(n.cfg.Machines, n.active, nil, n.cfg.Arrivals, n.rho)
-		if profile != nil {
-			offered := sum(n.cfg.Arrivals)
-			_ = n.installAndCommit(serve.Table{
-				Epoch: 0, Version: 1,
-				Profile:     profile,
-				Active:      append([]bool(nil), n.active...),
-				AdmitFrac:   admitFrac,
-				OfferedRate: offered / float64(len(peers)),
-			}, -1)
+		weights := make([]float64, len(n.active))
+		for j, a := range n.active {
+			if a {
+				weights[j] = 1
+			}
+		}
+		if t, err := n.gw.SolveTable(weights, n.cfg.Arrivals); err == nil {
+			t.Epoch, t.Version = 0, 1
+			t.Active = append([]bool(nil), n.active...)
+			t.OfferedRate /= float64(len(peers))
+			_ = n.installAndCommit(t, -1)
 		}
 	}
 
@@ -1031,10 +1018,16 @@ func (n *Node) solveAndDistribute() {
 		n.mu.Unlock()
 	}
 
-	profile, admitFrac := solveFleet(n.cfg.Machines, active, weights, agg, n.rho)
-	if profile == nil {
+	for j, a := range active {
+		if !a {
+			weights[j] = 0
+		}
+	}
+	solved, err := n.gw.SolveTable(weights, agg)
+	if err != nil {
 		return // infeasible this epoch; replicas keep their last table
 	}
+	profile, admitFrac := solved.Profile, solved.AdmitFrac
 
 	n.mu.Lock()
 	peers := append([]string(nil), n.peers...)
@@ -1091,7 +1084,7 @@ func (n *Node) solveAndDistribute() {
 
 	// Install locally first: if even our own gateway fences us out, a newer
 	// reign exists and stepping down beats spraying stale tables.
-	err := n.installAndCommit(serve.Table{
+	err = n.installAndCommit(serve.Table{
 		Epoch: epoch, Version: version,
 		Profile:     profile,
 		Active:      append([]bool(nil), active...),
@@ -1268,65 +1261,6 @@ func (n *Node) renderMetrics(b *strings.Builder) {
 	w("# HELP fleet_quorum_ok Whether this node currently heartbeats a strict majority (1) or is in degraded minority mode (0).\n")
 	w("# TYPE fleet_quorum_ok gauge\n")
 	w("fleet_quorum_ok %d\n", quorumOK)
-}
-
-// solveFleet solves the aggregate game over the active machines at their
-// health-weighted capacities, returning an n-wide profile (zero columns on
-// inactive or cut-off machines) and the admit fraction: 1 when the offered
-// load is feasible, DegradedRho×capacity/offered when the fleet must shed.
-// It returns a nil profile when no capacity is active or the solver fails.
-func solveFleet(machines []Machine, active []bool, weights []float64, arrivals []float64, rho float64) (game.Profile, float64) {
-	n := len(machines)
-	muEff := make([]float64, n)
-	var capEff float64
-	for j := range machines {
-		w := 1.0
-		if weights != nil {
-			w = weights[j]
-		}
-		if active[j] {
-			muEff[j] = machines[j].Rate * w
-		}
-		capEff += muEff[j]
-	}
-	if capEff <= 0 {
-		return nil, 0
-	}
-	offered := sum(arrivals)
-	admitFrac := 1.0
-	if offered >= capEff*fleetSaturationRho {
-		admitFrac = rho * capEff / offered
-	}
-
-	var idx []int
-	var rates []float64
-	for j, mu := range muEff {
-		if mu > 0 {
-			idx = append(idx, j)
-			rates = append(rates, mu)
-		}
-	}
-	scaled := make([]float64, len(arrivals))
-	for i, phi := range arrivals {
-		scaled[i] = phi * admitFrac
-	}
-	sysR, err := game.NewSystem(rates, scaled)
-	if err != nil {
-		return nil, admitFrac
-	}
-	// Class-aggregated solve: the leader's cost per re-equilibration scales
-	// with the number of distinct arrival rates, not the population size.
-	res, err := megascale.SolveSystem(sysR, core.Options{Init: core.InitProportional})
-	if err != nil || !res.Converged {
-		return nil, admitFrac
-	}
-	profile := game.NewProfile(len(arrivals), n)
-	for i := range res.Profile {
-		for k, j := range idx {
-			profile[i][j] = res.Profile[i][k]
-		}
-	}
-	return profile, admitFrac
 }
 
 func boolsEqual(a, b []bool) bool {

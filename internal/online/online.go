@@ -55,9 +55,10 @@ func New(rates, arrivals []float64, alpha float64) (*Balancer, error) {
 	return b, nil
 }
 
-// observe folds fresh queue-length samples into the smoothers and returns
-// the current load estimates.
-func (b *Balancer) observe(queueLens []int) ([]float64, error) {
+// Observe folds one sweep of queue-length samples into the smoothers and
+// returns the current load estimates (the queue-length inversion of
+// Remark 2).
+func (b *Balancer) Observe(queueLens []int) ([]float64, error) {
 	obs := make([]float64, len(queueLens))
 	for j, l := range queueLens {
 		obs[j] = b.smoothers[j].Observe(float64(l))
@@ -99,7 +100,7 @@ func (b *Balancer) Step(now float64, queueLens []int, current game.Profile) game
 	if len(queueLens) != n || len(current) != m {
 		return nil
 	}
-	loads, err := b.observe(queueLens)
+	loads, err := b.Observe(queueLens)
 	if err != nil {
 		return nil
 	}
@@ -123,17 +124,9 @@ func (b *Balancer) Step(now float64, queueLens []int, current game.Profile) game
 
 // Policy wraps the balancer as a simulator re-balance policy. It fires
 // every observeEvery simulated seconds, folding a queue sample into the
-// EWMA each time; every updateEvery-th firing, ONE user (round-robin)
-// recomputes its best response and the updated profile is installed. The
-// one-user-at-a-time discipline is the paper's token ring transplanted onto
-// a live cluster: simultaneous updates from a shared stale estimate herd
-// onto the same computers and oscillate, while serialized updates converge.
+// EWMA each time, and hands the estimate to Turns(updateEvery).
 func (b *Balancer) Policy(observeEvery float64, updateEvery int) *cluster.RebalancePolicy {
-	if updateEvery < 1 {
-		updateEvery = 1
-	}
-	calls := 0
-	turn := 0
+	turn := b.Turns(updateEvery)
 	return &cluster.RebalancePolicy{
 		Every: observeEvery,
 		Do: func(now float64, queueLens []int, current game.Profile) game.Profile {
@@ -141,21 +134,40 @@ func (b *Balancer) Policy(observeEvery float64, updateEvery int) *cluster.Rebala
 			if len(queueLens) != len(b.rates) || len(current) != len(b.arrivals) {
 				return nil
 			}
-			loads, err := b.observe(queueLens)
-			calls++
-			if err != nil || calls%updateEvery != 0 {
-				return nil
-			}
-			i := turn
-			turn = (turn + 1) % len(b.arrivals)
-			s := b.respond(i, loads, current)
-			if s == nil {
-				return nil
-			}
-			next := current.Clone()
-			next[i] = s
-			b.Epochs++
-			return next
+			loads, _ := b.Observe(queueLens)
+			return turn(loads, current)
 		},
+	}
+}
+
+// Turns returns the serialized best-reply discipline: it is called once
+// per observation with the current load estimates (nil when the
+// observation was unusable), and every updateEvery-th call ONE user
+// (round-robin) recomputes its best response against them, returning the
+// updated profile; other calls return nil. The one-user-at-a-time
+// discipline is the paper's token ring transplanted onto a live cluster:
+// simultaneous updates from a shared stale estimate herd onto the same
+// computers and oscillate, while serialized updates converge.
+func (b *Balancer) Turns(updateEvery int) func(loads []float64, current game.Profile) game.Profile {
+	if updateEvery < 1 {
+		updateEvery = 1
+	}
+	calls := 0
+	turn := 0
+	return func(loads []float64, current game.Profile) game.Profile {
+		calls++
+		if loads == nil || calls%updateEvery != 0 {
+			return nil
+		}
+		i := turn
+		turn = (turn + 1) % len(b.arrivals)
+		s := b.respond(i, loads, current)
+		if s == nil {
+			return nil
+		}
+		next := current.Clone()
+		next[i] = s
+		b.Epochs++
+		return next
 	}
 }

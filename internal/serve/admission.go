@@ -61,15 +61,18 @@ func (tb *TokenBucket) Allow() bool {
 func (tb *TokenBucket) take(now time.Time, maxN float64) (granted float64, nextAt time.Time) {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
-	if !tb.last.IsZero() {
-		if dt := now.Sub(tb.last).Seconds(); dt > 0 {
-			tb.tokens += dt * tb.fill
+	// Callers read now before taking the lock, so timestamps can arrive out
+	// of order: last only ever advances, or a stale caller would rewind it
+	// and the next one would be credited again for time already counted.
+	if now.After(tb.last) {
+		if !tb.last.IsZero() {
+			tb.tokens += now.Sub(tb.last).Seconds() * tb.fill
 			if tb.tokens > tb.burst {
 				tb.tokens = tb.burst
 			}
 		}
+		tb.last = now
 	}
-	tb.last = now
 	if tb.tokens < 1 {
 		wait := (1 - tb.tokens) / tb.fill
 		return 0, now.Add(time.Duration(wait * float64(time.Second)))

@@ -117,6 +117,36 @@ func TestShardedBucketStealing(t *testing.T) {
 	}
 }
 
+// TestShardedBucketStaleTimestamps is the deterministic form of the
+// concurrent over-admission: admitSlow reads the clock before it takes the
+// reservoir lock, so the reservoir sees timestamps out of order. An
+// injected clock replays that schedule — every caller's reading lags the
+// true time by up to 5 ms — and admissions must never exceed fill·elapsed +
+// burst of the latest time any caller read. A reservoir that let a stale
+// reading rewind its refill mark would credit the same interval twice.
+func TestShardedBucketStaleTimestamps(t *testing.T) {
+	const fill, burst = 1000.0, 10.0
+	const maxLag = 5 * time.Millisecond
+	stream := rng.NewSource(11).Stream("admission/stale")
+
+	start := time.Unix(0, 0)
+	latest := start.Add(maxLag)
+	now := latest
+	sb := newShardedBucket(fill, burst, 2, 1, func() time.Time { return now })
+
+	admitted := 0
+	for k := 0; k < 20000; k++ {
+		latest = latest.Add(time.Duration(stream.Exp(2*fill) * float64(time.Second)))
+		now = latest.Add(-time.Duration(stream.Float64() * float64(maxLag)))
+		if sb.admitOn(&sb.shards[k%2]) {
+			admitted++
+		}
+		if bound := burst + fill*latest.Sub(start).Seconds(); float64(admitted) > bound {
+			t.Fatalf("step %d: %d admitted > bound %g", k, admitted, bound)
+		}
+	}
+}
+
 // TestShardedBucketConcurrentSafety is the satellite property test: under
 // the race detector, GOMAXPROCS×4 goroutines hammer Admit on a live clock
 // for a fixed window, and total admissions must stay within fill·window +

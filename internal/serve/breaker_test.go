@@ -136,8 +136,9 @@ func TestHealthTrackerRampAndWeights(t *testing.T) {
 		t.Fatal("tripped backend still routable or tracker nominal")
 	}
 	// Ramps do not advance for open breakers.
-	if h.advanceRamps() {
-		t.Fatal("ramp advanced for an open breaker")
+	h.advanceRamps()
+	if h.ramp[1] != 0 {
+		t.Fatalf("ramp advanced to %d for an open breaker", h.ramp[1])
 	}
 
 	// Recovery: half-open trial success re-admits at the first ramp step.
@@ -151,7 +152,8 @@ func TestHealthTrackerRampAndWeights(t *testing.T) {
 		t.Fatalf("weight after recovery %v, want first ramp step 0.25", w)
 	}
 	steps := 0
-	for h.advanceRamps() {
+	for !h.nominal() && steps < 10 {
+		h.advanceRamps()
 		steps++
 	}
 	if steps != 3 {

@@ -14,7 +14,16 @@
 // every backend's /queue depth, inverts the depths to load estimates with
 // internal/estimate (Remark 2 of the paper), lets one user at a time play a
 // best response via internal/online's balancer, and hot-swaps the routing
-// table atomically — no user ever needs the others' arrival rates.
+// table atomically — no user ever needs the others' arrival rates. The same
+// smoothed estimate drives the saturation reject.
+//
+// The health layer's survivor re-solve and the gateway fleet's leader
+// compute their equilibria with one solver, Gateway.SolveTable (capacity
+// weights and arrivals in, full-width table with degraded-mode admission
+// out), and every writer of the routing state — construction, the online
+// best replies, the survivor re-solve and the control plane's InstallTable —
+// swaps the route table, shedding state and active set through one install
+// routine under one lock.
 //
 // Every stochastic element (service draws, routing picks, interarrival
 // times) runs on seeded internal/rng streams, so a loadgen run's routing

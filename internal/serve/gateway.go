@@ -19,9 +19,9 @@ import (
 
 	"nashlb/internal/core"
 	"nashlb/internal/dist"
-	"nashlb/internal/estimate"
 	"nashlb/internal/game"
 	"nashlb/internal/megascale"
+	"nashlb/internal/numeric"
 	"nashlb/internal/online"
 	"nashlb/internal/rng"
 )
@@ -222,18 +222,19 @@ type Gateway struct {
 	userRng []*rng.Stream
 	bucket  *ShardedTokenBucket
 	met     *gatewayMetrics
-	clients []*http.Client           // per backend, own pooled transport
-	workURL []string                 // pre-resolved backend /work URLs
+	clients []*http.Client // per backend, own pooled transport
+	workURL []string       // pre-resolved backend /work URLs
 	// rateOrder holds all backends by descending service rate — the
 	// precomputed last-resort fallback when a user's whole row is dead.
 	rateOrder []int32
 	scratch   sync.Pool // *fwdScratch
-	balancer  *online.Balancer
-	policy    func(now float64, queueLens []int, current game.Profile) game.Profile
-	sys       *game.System
-	est       estimate.RunQueue
-	smooth    []*estimate.Smoother
-	satur     atomic.Bool
+	// balancer holds the one smoothed load estimate of the polled queue
+	// depths: the saturation flag reads it, and turn plays the online
+	// best replies against it.
+	balancer *online.Balancer
+	turn     func(loads []float64, current game.Profile) game.Profile
+	sys      *game.System
+	satur    atomic.Bool
 
 	health      *healthTracker
 	budget      *retryBudget
@@ -246,7 +247,8 @@ type Gateway struct {
 	// while in-flight work finishes, and the fence orders InstallTable
 	// against superseded leaders. ctrlDegraded marks a degraded control
 	// plane (fleet quorum lost): the gateway keeps serving its last table
-	// but no fresh equilibria are coming until the fleet heals.
+	// but no fresh equilibria are coming until the fleet heals. table, shed
+	// and drained are written only by install, under installMu.
 	drained      []atomic.Bool
 	draining     atomic.Bool
 	ctrlDegraded atomic.Bool
@@ -336,8 +338,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		userRng:    make([]*rng.Stream, m),
 		bucket:     NewShardedTokenBucket(cfg.FillRate, cfg.Burst),
 		met:        newGatewayMetrics(n, m),
-		est:        estimate.RunQueue{Rates: append([]float64(nil), cfg.Rates...)},
-		smooth:     make([]*estimate.Smoother, n),
 		drained:    make([]atomic.Bool, n),
 		budget:     newRetryBudget(cfg.RetryBudget),
 		healthKick: make(chan struct{}, 1),
@@ -374,30 +374,19 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	for i := 0; i < m; i++ {
 		g.userRng[i] = src.Stream(fmt.Sprintf("route/%d", i))
 	}
-	for j := 0; j < n; j++ {
-		s, err := estimate.NewSmoother(cfg.Alpha)
-		if err != nil {
-			cancel()
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		g.smooth[j] = s
+	bal, err := online.New(cfg.Rates, cfg.Arrivals, cfg.Alpha)
+	if err != nil {
+		cancel()
+		return nil, fmt.Errorf("serve: %w", err)
 	}
+	g.balancer = bal
+	g.turn = bal.Turns(cfg.UpdateEvery)
 	table, err := newRouteTable(cfg.Profile, n)
 	if err != nil {
 		cancel()
 		return nil, err
 	}
-	g.table.Store(table)
-
-	if cfg.PollEvery > 0 {
-		bal, err := online.New(cfg.Rates, cfg.Arrivals, cfg.Alpha)
-		if err != nil {
-			cancel()
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		g.balancer = bal
-		g.policy = bal.Policy(cfg.PollEvery.Seconds(), cfg.UpdateEvery).Do
-	}
+	_ = g.install(nil, table, nil, nil)
 	if cfg.ProbeEvery > 0 {
 		g.health = newHealthTracker(n, cfg.Breaker, cfg.RampSteps)
 		g.lastWeights = make([]float64, n)
@@ -1094,17 +1083,16 @@ func (g *Gateway) handleBackends(w http.ResponseWriter, r *http.Request) {
 }
 
 // rebalanceLoop closes the paper's measurement loop: poll every backend's
-// queue depth, update the saturation estimate, and hand the depths to the
-// online balancer, installing any best-response profile it returns. While
-// the health layer holds a non-nominal view (a breaker open, a recovery
-// ramp in progress) the loop keeps observing but does not install: the
-// survivor re-equilibration owns the routing table until the full set is
-// back.
+// queue depth, fold it into the balancer's load estimate (which also sets
+// the saturation flag), and install any best-response profile the next
+// turn returns. While the health layer holds a non-nominal view (a breaker
+// open, a recovery ramp in progress) the loop keeps observing but does not
+// install: the survivor re-equilibration owns the routing table until the
+// full set is back.
 func (g *Gateway) rebalanceLoop() {
 	defer g.wg.Done()
 	ticker := time.NewTicker(g.cfg.PollEvery)
 	defer ticker.Stop()
-	start := time.Now()
 	for {
 		select {
 		case <-g.quit:
@@ -1116,13 +1104,13 @@ func (g *Gateway) rebalanceLoop() {
 			continue
 		}
 		g.met.polls.Add(1)
-		g.updateSaturation(depths)
+		loads := g.updateSaturation(depths)
 		if g.cfg.OnWeights != nil {
 			// Managed mode: keep the saturation estimate fresh but never
 			// install a locally computed table over the control plane's.
 			continue
 		}
-		next := g.policy(time.Since(start).Seconds(), depths, g.Profile())
+		next := g.turn(loads, g.Profile())
 		if next == nil || !g.installable(next) {
 			continue
 		}
@@ -1130,11 +1118,10 @@ func (g *Gateway) rebalanceLoop() {
 			continue
 		}
 		table, err := newRouteTable(next, len(g.cfg.Backends))
-		if err != nil || g.closing() {
-			continue // infeasible best response or shutdown; keep routing as-is
+		if err != nil {
+			continue // infeasible best response; keep routing as-is
 		}
-		g.table.Store(table)
-		g.met.rebalances.Add(1)
+		_ = g.install(nil, table, keepShed, &g.met.rebalances)
 	}
 }
 
@@ -1257,91 +1244,103 @@ func (g *Gateway) probe(j int) (bool, string) {
 // reequilibrate re-solves the load-balancing game over the effective
 // machine set — each backend's capacity scaled by its health weight — and
 // hot-swaps the routing table, exactly as dist.Supervise re-converges the
-// reduced game after an ejection. If the offered load is infeasible for the
-// surviving capacity it first installs degraded-mode admission (shed down
-// to DegradedRho utilization) and solves for the admitted load, so the
-// installed equilibrium is always feasible. Solver failures fall back to
-// proportional renormalization of the current profile, which at least
-// removes the dead machines.
+// reduced game after an ejection. The solve (SolveTable) installs
+// degraded-mode admission alongside the table when the offered load is
+// infeasible for the surviving capacity, so the installed equilibrium is
+// always feasible. Solver failures fall back to proportional
+// renormalization of the current profile, which at least removes the dead
+// machines. The control plane's last active set stays as it is.
 func (g *Gateway) reequilibrate(weights []float64) {
-	n := len(g.cfg.Rates)
-	muEff := make([]float64, n)
-	alive := make([]bool, n)
-	var capEff float64
-	for j := range muEff {
-		muEff[j] = g.cfg.Rates[j] * weights[j]
-		alive[j] = weights[j] > 0
-		capEff += muEff[j]
-	}
-	offered := g.sys.TotalArrival()
-
-	if capEff <= 0 {
+	t, err := g.SolveTable(weights, g.cfg.Arrivals)
+	if errors.Is(err, ErrNoCapacity) {
 		// Every backend is cut off: shed everything, keep the table (each
 		// pick fails closed with 503 anyway) and wait for a trial to pass.
-		g.shed.Store(&shedConfig{AdmitFrac: 0, RetryAfter: "1"})
-		g.met.reequils.Add(1)
+		_ = g.install(nil, nil, &shedConfig{AdmitFrac: 0, RetryAfter: "1"}, &g.met.reequils)
 		return
 	}
-
-	admitFrac := 1.0
-	// Shed when the offered load would push the survivors to the same
-	// saturation threshold the install guard enforces; DegradedRho leaves
-	// headroom below it.
-	if offered >= capEff*saturationRho {
-		admitRate := capEff * g.cfg.DegradedRho
-		admitFrac = admitRate / offered
-		g.shed.Store(newShedConfig(admitRate, admitFrac, offered))
-	} else {
-		g.shed.Store(nil)
-	}
-
-	profile := g.solveReduced(muEff, alive, admitFrac)
-	if profile == nil {
+	profile := t.Profile
+	if err != nil {
+		alive := make([]bool, len(weights))
+		muEff := make([]float64, len(weights))
+		for j, w := range weights {
+			alive[j] = w > 0
+			muEff[j] = g.cfg.Rates[j] * w
+		}
 		profile = renormalizeExclude(g.Profile(), alive, muEff)
 	}
-	table, err := newRouteTable(profile, n)
-	if err != nil || g.closing() {
+	table, err := newRouteTable(profile, len(weights))
+	if err != nil {
 		return
 	}
-	g.table.Store(table)
-	g.met.reequils.Add(1)
+	_ = g.install(nil, table, t.shedConfig(), &g.met.reequils)
 }
 
-// solveReduced solves the Nash game over the live machines at their
-// effective (ramp-scaled) capacities for the admitted load, and expands the
-// result back to an n-column profile with zeros on dead machines. It
-// returns nil when the reduced game is infeasible or the solver fails.
-func (g *Gateway) solveReduced(muEff []float64, alive []bool, admitFrac float64) game.Profile {
+// ErrNoCapacity reports an equilibrium solve in which no machine carries
+// capacity weight.
+var ErrNoCapacity = errors.New("serve: no machine has capacity")
+
+// SolveTable is the serving stack's one equilibrium solver, shared by the
+// gateway's health re-solve and the fleet leader. It solves the
+// load-balancing game over the gateway's machines at capacities
+// Rates[j]·weights[j] — weight 0 takes a machine out of rotation, a weight
+// in (0, 1) is a recovery ramp — for the given per-user arrivals. The table
+// holds the full-width profile with zero columns on weight-0 machines,
+// OfferedRate = Σ arrivals and AdmitFrac: 1 when the load is feasible, and
+// DegradedRho·capacity/offered when it would push the machines to the
+// saturation threshold, in which case the profile is solved for the
+// admitted load. With no capacity at all it returns ErrNoCapacity; when the
+// solve itself fails, the error comes with a nil profile but AdmitFrac and
+// OfferedRate still set.
+func (g *Gateway) SolveTable(weights, arrivals []float64) (Table, error) {
+	if len(weights) != len(g.cfg.Rates) {
+		return Table{}, fmt.Errorf("serve: %d weights for %d backends", len(weights), len(g.cfg.Rates))
+	}
 	var idx []int
 	var rates []float64
-	for j, a := range alive {
-		if a {
+	var capacity float64
+	for j, w := range weights {
+		mu := g.cfg.Rates[j] * w
+		capacity += mu
+		if mu > 0 {
 			idx = append(idx, j)
-			rates = append(rates, muEff[j])
+			rates = append(rates, mu)
 		}
 	}
-	arrivals := make([]float64, len(g.cfg.Arrivals))
-	for i, phi := range g.cfg.Arrivals {
-		arrivals[i] = phi * admitFrac
+	if capacity <= 0 {
+		return Table{}, ErrNoCapacity
 	}
-	sysR, err := game.NewSystem(rates, arrivals)
+	t := Table{AdmitFrac: 1, OfferedRate: numeric.Sum(arrivals)}
+	// Shed when the offered load would push the machines to the same
+	// saturation threshold the install guard enforces; DegradedRho leaves
+	// headroom below it.
+	if t.OfferedRate >= capacity*saturationRho {
+		t.AdmitFrac = g.cfg.DegradedRho * capacity / t.OfferedRate
+	}
+	admitted := make([]float64, len(arrivals))
+	for i, phi := range arrivals {
+		admitted[i] = phi * t.AdmitFrac
+	}
+	sys, err := game.NewSystem(rates, admitted)
 	if err != nil {
-		return nil
+		return t, err
 	}
 	// The class-aggregated engine solves one water-filling pass per user
 	// class instead of per user, so re-equilibration cost stays flat as the
 	// population grows.
-	res, err := megascale.SolveSystem(sysR, core.Options{Init: core.InitProportional})
-	if err != nil || !res.Converged {
-		return nil
+	res, err := megascale.SolveSystem(sys, core.Options{Init: core.InitProportional})
+	if err == nil && !res.Converged {
+		err = errors.New("serve: equilibrium solve did not converge")
 	}
-	profile := game.NewProfile(len(arrivals), len(muEff))
-	for i := range res.Profile {
+	if err != nil {
+		return t, err
+	}
+	t.Profile = game.NewProfile(len(arrivals), len(weights))
+	for i, row := range res.Profile {
 		for k, j := range idx {
-			profile[i][j] = res.Profile[i][k]
+			t.Profile[i][j] = row[k]
 		}
 	}
-	return profile
+	return t, nil
 }
 
 // installable guards routing-table installs: unlike the users' best
@@ -1406,17 +1405,15 @@ func (g *Gateway) pollDepths() ([]int, bool) {
 	return depths, true
 }
 
-// updateSaturation smooths the polled depths, inverts them to load
-// estimates (Remark 2), and raises the saturation flag when every backend's
-// estimated utilization is at or above 1.
-func (g *Gateway) updateSaturation(depths []int) {
-	obs := make([]float64, len(depths))
-	for j, d := range depths {
-		obs[j] = g.smooth[j].Observe(float64(d))
-	}
-	loads, err := g.est.Loads(obs)
+// updateSaturation folds one depth sweep into the balancer's smoothed load
+// estimate (Remark 2's queue-length inversion) and raises the saturation
+// flag when every backend's estimated utilization is at or above the
+// threshold. It returns the estimate (nil when the sweep is unusable), which
+// the online best replies play against.
+func (g *Gateway) updateSaturation(depths []int) []float64 {
+	loads, err := g.balancer.Observe(depths)
 	if err != nil {
-		return
+		return nil
 	}
 	saturated := true
 	for j, l := range loads {
@@ -1426,10 +1423,13 @@ func (g *Gateway) updateSaturation(depths []int) {
 		}
 	}
 	g.satur.Store(saturated)
+	return loads
 }
 
-// saturationRho is the estimated-utilization threshold at which a backend
-// counts as saturated for admission control. The queue-length inversion
-// lambda = mu*L/(1+L) approaches mu only asymptotically, so the threshold
-// sits just below 1 (L = 19 maps to rho 0.95).
+// saturationRho is the utilization threshold at which a backend counts as
+// saturated: for admission control on the estimated loads, for the install
+// guard on the implied true loads, and for degraded-mode shedding in
+// SolveTable. The queue-length inversion lambda = mu*L/(1+L) approaches mu
+// only asymptotically, so the threshold sits just below 1 (L = 19 maps to
+// rho 0.95).
 const saturationRho = 0.95

@@ -70,18 +70,15 @@ func (h *healthTracker) noteProbe(j int, ok bool) {
 }
 
 // advanceRamps moves every recovering backend one step up the re-admission
-// ramp and reports whether any weight changed (i.e. a re-equilibration is
-// due).
-func (h *healthTracker) advanceRamps() (changed bool) {
+// ramp.
+func (h *healthTracker) advanceRamps() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for j, br := range h.brs {
 		if br.State() == BreakerClosed && h.ramp[j] < h.rampSteps {
 			h.ramp[j]++
-			changed = true
 		}
 	}
-	return changed
 }
 
 // weights returns each backend's effective capacity weight in [0, 1]:

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"nashlb/internal/game"
 )
@@ -46,7 +47,7 @@ var ErrStaleTable = errors.New("serve: stale routing table (superseded epoch)")
 // strictly newer (epoch, version) pairs, so a partitioned old leader pushing
 // a stale table is refused and learns it has been deposed. On acceptance the
 // active set, the degraded-mode admission and the routing profile swap
-// together under one lock, so concurrent installs cannot interleave.
+// together through install, so no install can interleave with another.
 func (g *Gateway) InstallTable(t Table) error {
 	n, m := len(g.cfg.Backends), len(g.cfg.Arrivals)
 	if len(t.Profile) != m {
@@ -60,32 +61,63 @@ func (g *Gateway) InstallTable(t Table) error {
 	// is bitwise-identical to the installed one, the pre-resolved table is
 	// reused and only the fence, active set and admission state advance.
 	table := g.table.Load()
-	if table == nil || !table.profile.Equal(t.Profile) {
+	if !table.profile.Equal(t.Profile) {
 		var err error
 		table, err = newRouteTable(t.Profile, n)
 		if err != nil {
 			return err
 		}
 	}
+	return g.install(&t, table, t.shedConfig(), &g.met.tableInstalls)
+}
 
+// keepShed is install's "leave degraded-mode admission as it is" argument.
+var keepShed = new(shedConfig)
+
+// install is the one writer of the gateway's routing state: the route
+// table, the degraded-mode admission state and the active set swap together
+// under installMu, so a local re-solve can never leave one table's shedding
+// beside another table's routes. ctrl is the control-plane table being
+// applied: its (epoch, version) must pass the fence first and its Active
+// flags replace the active set. Local writers pass a nil ctrl and keep the
+// control plane's last active set; a nil table and keepShed likewise leave
+// that part as it is. An install bumps the caller's counter (nil counts
+// nothing); once Close has begun nothing is installed, though a
+// control-plane table still advances the fence. The only error is a
+// control-plane table's ErrStaleTable, so local writers ignore the result.
+// Callers build route tables outside the lock.
+func (g *Gateway) install(ctrl *Table, table *routeTable, shed *shedConfig, installs *atomic.Int64) error {
 	g.installMu.Lock()
 	defer g.installMu.Unlock()
-	if !g.fence.Accept(t.Epoch, t.Version) {
+	if ctrl != nil && !g.fence.Accept(ctrl.Epoch, ctrl.Version) {
 		return ErrStaleTable
 	}
 	if g.closing() {
-		return nil // fence advanced, but a closing gateway installs nothing
+		return nil
 	}
-	for j := range g.drained {
-		g.drained[j].Store(t.Active != nil && !t.Active[j])
+	if ctrl != nil {
+		for j := range g.drained {
+			g.drained[j].Store(ctrl.Active != nil && !ctrl.Active[j])
+		}
 	}
+	if shed != keepShed {
+		g.shed.Store(shed)
+	}
+	if table != nil {
+		g.table.Store(table)
+	}
+	if installs != nil {
+		installs.Add(1)
+	}
+	return nil
+}
+
+// shedConfig returns the degraded-mode admission state t asks for: shedding
+// down to AdmitFrac·OfferedRate when AdmitFrac is in (0, 1), none otherwise.
+func (t Table) shedConfig() *shedConfig {
 	if t.AdmitFrac > 0 && t.AdmitFrac < 1 {
-		g.shed.Store(newShedConfig(t.AdmitFrac*t.OfferedRate, t.AdmitFrac, t.OfferedRate))
-	} else {
-		g.shed.Store(nil)
+		return newShedConfig(t.AdmitFrac*t.OfferedRate, t.AdmitFrac, t.OfferedRate)
 	}
-	g.table.Store(table)
-	g.met.tableInstalls.Add(1)
 	return nil
 }
 

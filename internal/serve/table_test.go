@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -89,6 +90,100 @@ func TestInstallTableDrainsBackends(t *testing.T) {
 	}
 	if snap.BackendRequests[0] != 40 {
 		t.Fatalf("active backend served %d of 40", snap.BackendRequests[0])
+	}
+}
+
+// TestLocalResolveKeepsControlPlaneDrain pins the one install path: a
+// health re-solve installs its own table and shedding state but keeps the
+// control plane's last active set, so a machine that InstallTable drained
+// stays out of rotation and the fence mark does not move.
+func TestLocalResolveKeepsControlPlaneDrain(t *testing.T) {
+	g, err := NewGateway(GatewayConfig{
+		Backends:   []string{"http://127.0.0.1:1/a", "http://127.0.0.1:1/b", "http://127.0.0.1:1/c"},
+		Rates:      []float64{50, 50, 50},
+		Arrivals:   []float64{20, 10},
+		Seed:       9103,
+		ProbeEvery: time.Hour, // health layer on; its loop never starts
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = g.InstallTable(Table{
+		Epoch: 1, Version: 1,
+		Profile: game.Profile{{0.5, 0.5, 0}, {0.5, 0.5, 0}},
+		Active:  []bool{true, true, false},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Backend 1's breaker trips: the re-solve routes around it over the
+	// capacity the health layer sees, which still counts drained backend 2.
+	g.reequilibrate([]float64{1, 0, 1})
+	if got := g.Metrics().Reequilibrations; got != 1 {
+		t.Fatalf("reequilibrations = %d, want 1", got)
+	}
+	for i, row := range g.Profile() {
+		if row[1] != 0 {
+			t.Fatalf("user %d still routes %g to the tripped backend", i, row[1])
+		}
+	}
+	if !g.drained[2].Load() || g.drained[0].Load() || g.drained[1].Load() {
+		t.Fatalf("drained flags after the local re-solve: %v %v %v, want false false true",
+			g.drained[0].Load(), g.drained[1].Load(), g.drained[2].Load())
+	}
+	for k := 0; k < 200; k++ {
+		if j, ok := g.pickBackend(k % 2); !ok || j == 2 {
+			t.Fatalf("pick %d routed to backend %d (ok=%v); drained backend 2 must stay out", k, j, ok)
+		}
+	}
+	if e, v := g.TableEpoch(); e != 1 || v != 1 {
+		t.Fatalf("fence at (%d, %d) after a local re-solve, want (1, 1)", e, v)
+	}
+}
+
+// TestConcurrentInstallsStayPaired races control-plane installs against
+// local re-solves: whichever writer lands last, the routing table and the
+// degraded-mode admission state it leaves must come from the same install.
+func TestConcurrentInstallsStayPaired(t *testing.T) {
+	g, err := NewGateway(GatewayConfig{
+		Backends:   []string{"http://127.0.0.1:1/a", "http://127.0.0.1:1/b"},
+		Rates:      []float64{50, 50},
+		Arrivals:   []float64{20, 10},
+		ProbeEvery: time.Hour, // health layer on; its loop never starts
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The control plane sheds half on a one-machine table; the local
+	// re-solve over both machines sheds nothing.
+	ctrl := game.Profile{{1, 0}, {1, 0}}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for v := uint64(1); v <= 200; v++ {
+			if err := g.InstallTable(Table{Epoch: 1, Version: v, Profile: ctrl, AdmitFrac: 0.5, OfferedRate: 30}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for k := 0; k < 200; k++ {
+			g.reequilibrate([]float64{1, 1})
+		}
+	}()
+	wg.Wait()
+
+	sh := g.shed.Load()
+	if g.Profile().Equal(ctrl) {
+		if sh == nil || sh.AdmitFrac != 0.5 {
+			t.Fatalf("control-plane table left beside shed state %+v", sh)
+		}
+	} else if sh != nil {
+		t.Fatalf("re-solved table left beside the control plane's shed state %+v", sh)
 	}
 }
 

@@ -49,4 +49,18 @@ go test -run 'HotPathSpeedup|CoordinatedOmission' -count=1 ./internal/serve
 echo "== go test -run 'Allocs' ./internal/des ./internal/cluster ./internal/serve ./internal/megascale"
 go test -run 'Allocs' ./internal/des ./internal/cluster ./internal/serve ./internal/megascale
 
+# Multi-core concurrency gate: the sharded admission limiter's property
+# tests at 1, 2 and 4 Ps, repeated, so a timing bug that only appears with
+# real parallelism (as the stale-timestamp over-admission did) fails here
+# even on a machine where the plain test run happens to use one P.
+echo "== go test -run 'ShardedBucket' -cpu 1,2,4 -count=5 ./internal/serve"
+go test -run 'ShardedBucket' -cpu 1,2,4 -count=5 ./internal/serve
+
+# The benchmark module (perfbench/, its own go.mod) drives the gateway,
+# fleet wire codec, solver and simulator through their public entry points;
+# vet and unit-test it so an API change that breaks the benchmark fails
+# here rather than at benchmark time.
+echo "== (cd perfbench && go vet ./... && go test ./...)"
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "verify: OK"
