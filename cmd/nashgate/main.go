@@ -1,7 +1,8 @@
 // Command nashgate is the live serving gateway: it routes real HTTP traffic
 // across backend workers by the Nash equilibrium of the paper's load
 // balancing game, with admission control, live re-equilibration from polled
-// queue depths, and Prometheus-style /metrics.
+// queue depths, and Prometheus-style /metrics (response-time histograms per
+// user class: users with equal arrival rate share one series).
 //
 // Gateway mode (default). Give it the backend URLs and the game (rates and
 // arrivals); it solves NASH and serves:
@@ -16,8 +17,7 @@
 // the surviving capacity is infeasible:
 //
 //	[-probe 250ms] [-breaker-failures 3] [-breaker-cooldown 1s] \
-//	[-ramp-steps 3] [-degraded-rho 0.9] [-retry-budget 0.1] \
-//	[-hedge-after 0]
+//	[-ramp-steps 3] [-degraded-rho 0.9] [-retry-budget 0.1]
 //
 // Endpoints: /submit?user=i (or X-User header) serves one request;
 // /metrics is the text exposition; /routing reports the live profile;
@@ -96,7 +96,6 @@ func main() {
 		rampFlag     = flag.Int("ramp-steps", 3, "gateway: health epochs over which a recovered backend re-admits")
 		degradedFlag = flag.Float64("degraded-rho", 0.9, "gateway: admitted utilization while shedding in degraded mode")
 		budgetFlag   = flag.Float64("retry-budget", 0.1, "gateway: retry budget as a fraction of requests (negative disables)")
-		hedgeFlag    = flag.Duration("hedge-after", 0, "gateway: hedge slow requests to a second backend after this delay (0 disables)")
 		idleFlag     = flag.Int("max-idle-per-host", 0, "gateway: idle connections kept per backend (0 = default 512)")
 		rateFlag     = flag.Float64("rate", 0, "backend: service rate mu (jobs/s)")
 		queueCapFlag = flag.Int("queue-cap", serve.DefaultQueueCap, "backend: jobs-in-system bound")
@@ -152,7 +151,6 @@ func main() {
 				RampSteps:   *rampFlag,
 				DegradedRho: *degradedFlag,
 				RetryBudget: *budgetFlag,
-				HedgeAfter:  *hedgeFlag,
 				Addr:        *listenFlag,
 			},
 		})
@@ -178,7 +176,6 @@ func main() {
 		ramp:     *rampFlag,
 		degraded: *degradedFlag,
 		budget:   *budgetFlag,
-		hedge:    *hedgeFlag,
 		maxIdle:  *idleFlag,
 	})
 }
@@ -214,7 +211,7 @@ type gatewayArgs struct {
 	alpha, fill, burst                         float64
 	timeout                                    time.Duration
 	retries                                    int
-	probe, cooldown, hedge                     time.Duration
+	probe, cooldown                            time.Duration
 	failures, ramp                             int
 	degraded, budget                           float64
 	maxIdle                                    int
@@ -284,7 +281,6 @@ func runGateway(a gatewayArgs) {
 		RampSteps:   a.ramp,
 		DegradedRho: a.degraded,
 		RetryBudget: a.budget,
-		HedgeAfter:  a.hedge,
 
 		MaxIdleConnsPerHost: a.maxIdle,
 

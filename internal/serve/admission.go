@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,10 +97,9 @@ type admissionShard struct {
 	_        [64]byte
 }
 
-// ShardedTokenBucket is the hot-path admission limiter: per-CPU shards (the
-// metrics shards from the zero-alloc PR are the template) each hold a small
-// cache of tokens pre-debited in chunks from one central reservoir — a plain
-// TokenBucket. Because every cached token was already debited, the global
+// ShardedTokenBucket is the hot-path admission limiter: per-CPU shards each
+// hold a small cache of tokens pre-debited in chunks from one central
+// reservoir — a plain TokenBucket. Because every cached token was already debited, the global
 // invariant is exact: admissions over any window starting at construction
 // never exceed fill·window + burst, no matter how the shards are hammered.
 // With Chunk = 1 the shards cache nothing and every decision consults the
@@ -118,6 +118,25 @@ type ShardedTokenBucket struct {
 	next      atomic.Uint32
 	notBefore atomic.Int64 // unix nanos before which the reservoir has < 1 token
 	now       func() time.Time
+}
+
+// maxShards caps the admission shard count (a shard that runs dry steals
+// from its siblings, and Stats merges them all, so both grow with it).
+const maxShards = 128
+
+// shardCount returns the number of admission stripes. The pool hands out at
+// most one per P, so GOMAXPROCS covers the steady state; the floor of 4
+// keeps the stealing path honest on small machines, and maxShards bounds
+// the cost on huge ones.
+func shardCount() int {
+	n := runtime.GOMAXPROCS(0)
+	if n < 4 {
+		n = 4
+	}
+	if n > maxShards {
+		n = maxShards
+	}
+	return n
 }
 
 // NewShardedTokenBucket returns a sharded bucket refilling at fill

@@ -8,7 +8,8 @@
 //	request → admission (token bucket + saturation reject)
 //	        → routing (per-user weighted sampling over s_ij, O(1) alias method)
 //	        → per-backend bounded FCFS queue (exponential work at rate mu_j)
-//	        → metrics (/metrics text format: counters, gauges, log histograms)
+//	        → metrics (/metrics text format: counters, gauges, log histograms
+//	          per user class)
 //
 // Closing the paper's loop on measured state, the gateway periodically polls
 // every backend's /queue depth, inverts the depths to load estimates with
@@ -24,6 +25,12 @@
 // best replies, the survivor re-solve and the control plane's InstallTable —
 // swaps the route table, shedding state and active set through one install
 // routine under one lock.
+//
+// Response times are accounted per user class — users with bitwise-equal
+// arrival rate phi_i, which the game treats as interchangeable and
+// megascale.FromSystem aggregates for the solver — in one log histogram per
+// class under one lock, so latency state and /metrics cardinality are
+// bounded by the class count, never by the user count.
 //
 // Every stochastic element (service draws, routing picks, interarrival
 // times) runs on seeded internal/rng streams, so a loadgen run's routing

@@ -75,12 +75,6 @@ type GatewayConfig struct {
 	// multiplying the overload. Default 0.1; negative disables the budget
 	// (retries limited only by Retries).
 	RetryBudget float64
-	// HedgeAfter, when positive, fires a hedge request to the caller's
-	// second-best backend if the primary has not answered within this
-	// duration; the first successful answer wins. Tail-latency insurance —
-	// size it near the response-time p95 so only the slowest percentile
-	// pays the duplicate. Zero disables hedging.
-	HedgeAfter time.Duration
 
 	// ProbeEvery enables the backend health layer: every tick each backend
 	// is actively probed on /healthz, probe and request outcomes feed a
@@ -337,7 +331,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		userMu:     make([]sync.Mutex, m),
 		userRng:    make([]*rng.Stream, m),
 		bucket:     NewShardedTokenBucket(cfg.FillRate, cfg.Burst),
-		met:        newGatewayMetrics(n, m),
+		met:        newGatewayMetrics(n, cfg.Arrivals),
 		drained:    make([]atomic.Bool, n),
 		budget:     newRetryBudget(cfg.RetryBudget),
 		healthKick: make(chan struct{}, 1),
@@ -615,29 +609,30 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	sc := g.scratch.Get().(*fwdScratch)
 	defer g.scratch.Put(sc)
 	start := time.Now()
-	res := g.dispatch(r.Context(), user, backend, sc)
+	status, body, err := g.forward(r.Context(), backend, sc.body[:0])
+	sc.body = body
 	elapsed := time.Since(start)
 	switch {
-	case res.err != nil:
-		g.met.backendErrors[res.backend].Add(1)
-		http.Error(w, fmt.Sprintf("backend %d: %v", res.backend, res.err), http.StatusBadGateway)
+	case err != nil:
+		g.met.backendErrors[backend].Add(1)
+		http.Error(w, fmt.Sprintf("backend %d: %v", backend, err), http.StatusBadGateway)
 		return
-	case res.status == http.StatusServiceUnavailable:
-		g.met.backendRejects[res.backend].Add(1)
-		http.Error(w, fmt.Sprintf("backend %d queue full", res.backend), http.StatusServiceUnavailable)
+	case status == http.StatusServiceUnavailable:
+		g.met.backendRejects[backend].Add(1)
+		http.Error(w, fmt.Sprintf("backend %d queue full", backend), http.StatusServiceUnavailable)
 		return
-	case res.status != http.StatusOK:
-		g.met.backendErrors[res.backend].Add(1)
-		http.Error(w, fmt.Sprintf("backend %d status %d", res.backend, res.status), http.StatusBadGateway)
+	case status != http.StatusOK:
+		g.met.backendErrors[backend].Add(1)
+		http.Error(w, fmt.Sprintf("backend %d status %d", backend, status), http.StatusBadGateway)
 		return
 	}
 
-	g.met.backendRequests[res.backend].Add(1)
+	g.met.backendRequests[backend].Add(1)
 	g.met.observe(user, elapsed.Seconds())
 
-	service, _ := parseServiceSeconds(res.body)
+	service, _ := parseServiceSeconds(body)
 	w.Header().Set("Content-Type", "application/json")
-	sc.out = appendSubmitResponse(sc.out[:0], user, res.backend, service, elapsed.Seconds())
+	sc.out = appendSubmitResponse(sc.out[:0], user, backend, service, elapsed.Seconds())
 	_, _ = w.Write(sc.out)
 }
 
@@ -680,92 +675,6 @@ func (g *Gateway) pickBackend(user int) (int, bool) {
 		}
 	}
 	return -1, false
-}
-
-// hedgeTarget returns the backend for a tail hedge: the caller's
-// second-preferred routable machine by routed weight (falling back to the
-// fastest routable machine), or -1 when there is no alternative. Both
-// preference orders are pre-resolved at table install.
-func (g *Gateway) hedgeTarget(user, primary int) int {
-	table := g.table.Load()
-	for _, j := range table.fallback[table.classOf[user]] {
-		if int(j) != primary && g.routable(int(j)) {
-			return int(j)
-		}
-	}
-	for _, j := range g.rateOrder {
-		if int(j) != primary && g.routable(int(j)) {
-			return int(j)
-		}
-	}
-	return -1
-}
-
-// fwdResult is one dispatch outcome, tagged with the backend that produced
-// it (with hedging, not necessarily the sampled primary).
-type fwdResult struct {
-	status  int
-	body    []byte
-	err     error
-	backend int
-}
-
-// dispatch forwards the request, optionally hedging the tail: if the
-// primary has not answered within HedgeAfter, a duplicate goes to the
-// caller's second-best machine and the first success wins (the loser is
-// cancelled). Without hedging it is a plain forward on the caller's pooled
-// scratch; hedge attempts run on their own buffers (two goroutines must
-// never share one scratch).
-func (g *Gateway) dispatch(ctx context.Context, user, backend int, sc *fwdScratch) fwdResult {
-	if g.cfg.HedgeAfter <= 0 {
-		var status int
-		var err error
-		status, sc.body, err = g.forward(ctx, backend, sc.body[:0])
-		return fwdResult{status: status, body: sc.body, err: err, backend: backend}
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan fwdResult, 2)
-	launch := func(j int) {
-		go func() {
-			status, body, err := g.forward(hctx, j, nil)
-			results <- fwdResult{status: status, body: body, err: err, backend: j}
-		}()
-	}
-	launch(backend)
-	inflight := 1
-	hedged := false
-	timer := time.NewTimer(g.cfg.HedgeAfter)
-	defer timer.Stop()
-	var first *fwdResult
-	for {
-		select {
-		case res := <-results:
-			inflight--
-			if res.err == nil && res.status == http.StatusOK {
-				if hedged && res.backend != backend {
-					g.met.hedgeWins.Add(1)
-				}
-				return res
-			}
-			if first == nil {
-				first = &res
-			}
-			if inflight == 0 {
-				return *first
-			}
-		case <-timer.C:
-			if hedged {
-				continue
-			}
-			if h := g.hedgeTarget(user, backend); h >= 0 {
-				hedged = true
-				g.met.hedges.Add(1)
-				launch(h)
-				inflight++
-			}
-		}
-	}
 }
 
 // userID extracts the requesting user from the X-User header or ?user=
@@ -829,8 +738,7 @@ func (g *Gateway) reportHealth(backend int, ok bool, errText string) {
 // by its DialContext wrapper) against its pre-resolved /work URL, and the
 // body is append-read into buf, so a steady-state forward reuses the
 // caller's scratch instead of allocating per request. The returned slice
-// aliases buf's (possibly grown) array; hedge attempts pass nil and get a
-// private allocation.
+// aliases buf's (possibly grown) array.
 func (g *Gateway) forward(ctx context.Context, backend int, buf []byte) (int, []byte, error) {
 	backoff := dist.Backoff{Base: g.cfg.RetryBase, Max: g.cfg.RetryMax}
 	retries := g.cfg.Retries
@@ -864,7 +772,7 @@ func (g *Gateway) forward(ctx context.Context, backend int, buf []byte) (int, []
 		if err != nil {
 			cancel()
 			if ctx.Err() != nil {
-				// Caller gone or hedge lost: no verdict on the backend.
+				// Caller gone: no verdict on the backend.
 				return 0, nil, ctx.Err()
 			}
 			g.reportHealth(backend, false, err.Error())

@@ -3,44 +3,31 @@ package serve
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"nashlb/internal/game"
+	"nashlb/internal/megascale"
 	"nashlb/internal/stats"
 )
 
-// Histogram shape for per-user response times: 100µs to 100s, ~10% relative
-// resolution per bucket (log-bucketed, fixed memory).
+// Histogram shape for per-class response times: 100µs to 100s, ~10%
+// relative resolution per bucket (log-bucketed, fixed memory).
 const (
 	histLo     = 1e-4
 	histHi     = 100.0
 	histGrowth = 1.1
 )
 
-// maxShards caps the response-time shard count (memory is
-// shards × users × histogram, and merge cost on scrape grows with it).
-const maxShards = 128
-
-// metricShard is one stripe of the response-time accumulators: its own
-// mutex plus per-user histogram and Welford moments, padded so adjacent
-// shards never share a cache line. Each recording goroutine checks a shard
-// out of a sync.Pool for the duration of one observation; because pools
-// keep per-P free lists, a busy CPU is handed the same shard back over and
-// over — per-CPU striping with hot caches and (on a loaded gateway) no
-// cross-CPU contention, instead of every handler serializing on one global
-// histogram mutex.
-type metricShard struct {
-	mu      sync.Mutex
-	hists   []*stats.LogHistogram // per user, seconds
-	moments []stats.Welford       // per user, seconds
-	_       [64]byte
-}
-
 // gatewayMetrics aggregates the gateway's observability state: per-backend
-// counters and gauges, admission outcomes, and per-user response-time
-// histograms and moments sharded per-CPU and merged on scrape.
+// counters and gauges, admission outcomes, and one response-time histogram
+// per user class. A class is the set of users with bitwise-equal arrival
+// rate phi_i — the classes megascale.FromSystem aggregates for the solver,
+// numbered in order of first occurrence. Such users are interchangeable in
+// the game (NASH gives them one strategy and one response time D_i), so
+// latency memory and /metrics cardinality grow with the class count, never
+// with the user count.
 type gatewayMetrics struct {
 	backendRequests []atomic.Int64 // forwarded and answered 200
 	backendRejects  []atomic.Int64 // backend said queue-full (503)
@@ -61,31 +48,18 @@ type gatewayMetrics struct {
 	tableInstalls   atomic.Int64 // control-plane routing tables installed
 	breakerOpens    atomic.Int64 // breaker trips to open
 	retryDenied     atomic.Int64 // retries refused by the retry budget
-	hedges          atomic.Int64 // hedge requests launched
-	hedgeWins       atomic.Int64 // hedges that answered first
 
-	shards    []metricShard
-	shardPool sync.Pool     // *metricShard, handed out with per-P affinity
-	shardNext atomic.Uint32 // round-robin cursor for pool refills
-	nUsers    int
+	classOf []int32           // user -> class, fixed at construction
+	classes []megascale.Class // member count and phi per class
+
+	mu    sync.Mutex
+	hists []*stats.LogHistogram // per class, seconds; guarded by mu
 }
 
-// shardCount returns the number of response-time stripes. The pool hands
-// out at most one per P, so GOMAXPROCS covers the steady state; the floor
-// of 4 keeps the merge path honest on small machines, and maxShards bounds
-// scrape cost on huge ones.
-func shardCount() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 4 {
-		n = 4
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	return n
-}
-
-func newGatewayMetrics(nBackends, nUsers int) *gatewayMetrics {
+// newGatewayMetrics sizes the accounting for nBackends backends and the
+// users whose arrival rates are given, deriving each user's class once.
+func newGatewayMetrics(nBackends int, arrivals []float64) *gatewayMetrics {
+	cs, userToClass := megascale.FromSystem(&game.System{Arrivals: arrivals})
 	m := &gatewayMetrics{
 		backendRequests: make([]atomic.Int64, nBackends),
 		backendRejects:  make([]atomic.Int64, nBackends),
@@ -93,60 +67,39 @@ func newGatewayMetrics(nBackends, nUsers int) *gatewayMetrics {
 		queueDepth:      make([]atomic.Int64, nBackends),
 		connOpened:      make([]atomic.Int64, nBackends),
 		connAttempts:    make([]atomic.Int64, nBackends),
-		userAdmitted:    make([]atomic.Int64, nUsers),
-		shards:          make([]metricShard, shardCount()),
-		nUsers:          nUsers,
+		userAdmitted:    make([]atomic.Int64, len(arrivals)),
+		classOf:         make([]int32, len(arrivals)),
+		classes:         cs.Classes,
+		hists:           make([]*stats.LogHistogram, len(cs.Classes)),
 	}
-	for s := range m.shards {
-		sh := &m.shards[s]
-		sh.hists = make([]*stats.LogHistogram, nUsers)
-		sh.moments = make([]stats.Welford, nUsers)
-		for i := range sh.hists {
-			sh.hists[i] = stats.NewLogHistogram(histLo, histHi, histGrowth)
-		}
+	for i, c := range userToClass {
+		m.classOf[i] = int32(c)
 	}
-	// Refill from the fixed shard array round-robin: a pool drained by the
-	// GC (or racing getters) only ever re-hands out existing shards, so the
-	// merge path never has to chase dynamically created state. Two P's can
-	// transiently share a shard; the shard mutex keeps that correct.
-	m.shardPool.New = func() any {
-		idx := m.shardNext.Add(1) - 1
-		return &m.shards[idx%uint32(len(m.shards))]
+	for c := range m.hists {
+		m.hists[c] = stats.NewLogHistogram(histLo, histHi, histGrowth)
 	}
 	return m
 }
 
-// observe records one response time on this CPU's shard. The path
-// allocates nothing (TestObserveAllocs) and, once each P holds its shard,
-// touches no shared cache lines.
+// observe records one response time in the user's class histogram. The
+// path allocates nothing (TestObserveAllocs).
 func (m *gatewayMetrics) observe(user int, seconds float64) {
-	sh := m.shardPool.Get().(*metricShard)
-	sh.mu.Lock()
-	sh.hists[user].Add(seconds)
-	sh.moments[user].Add(seconds)
-	sh.mu.Unlock()
-	m.shardPool.Put(sh)
+	c := m.classOf[user]
+	m.mu.Lock()
+	m.hists[c].Add(seconds)
+	m.mu.Unlock()
 }
 
-// mergeUsers folds every shard into fresh per-user aggregates using
-// stats.LogHistogram.Merge and the Welford parallel-moments Merge. Scrapes
-// pay the merge; the request path stays contention-free.
-func (m *gatewayMetrics) mergeUsers() ([]*stats.LogHistogram, []stats.Welford) {
-	hists := make([]*stats.LogHistogram, m.nUsers)
-	moments := make([]stats.Welford, m.nUsers)
-	for i := range hists {
-		hists[i] = stats.NewLogHistogram(histLo, histHi, histGrowth)
+// classHists copies the per-class histograms under the lock, so a scrape
+// formats and takes quantiles without holding up the request path.
+func (m *gatewayMetrics) classHists() []*stats.LogHistogram {
+	out := make([]*stats.LogHistogram, len(m.hists))
+	m.mu.Lock()
+	for c, h := range m.hists {
+		out[c] = h.Clone()
 	}
-	for s := range m.shards {
-		sh := &m.shards[s]
-		sh.mu.Lock()
-		for i := range hists {
-			hists[i].Merge(sh.hists[i])
-			moments[i].Merge(sh.moments[i])
-		}
-		sh.mu.Unlock()
-	}
-	return hists, moments
+	m.mu.Unlock()
+	return out
 }
 
 // Snapshot is a consistent copy of the gateway's counters for programmatic
@@ -172,11 +125,8 @@ type Snapshot struct {
 	// admission is disabled).
 	Admission AdmissionStats
 	// Admitted counts requests past admission control; the Rejected*
-	// fields split the refusals by reason. UserAdmitted breaks Admitted
-	// down per user — the raw material for per-gateway arrival-rate
-	// estimation in a fleet.
+	// fields split the refusals by reason.
 	Admitted      int64
-	UserAdmitted  []int64
 	RejectedRate  int64
 	RejectedSat   int64
 	RejectedUser  int64
@@ -190,11 +140,8 @@ type Snapshot struct {
 	Reequilibrations int64
 	TableInstalls    int64
 	BreakerOpens     int64
-	// RetryDenied counts retries the budget refused; Hedges/HedgeWins count
-	// tail hedges launched and hedges that answered first.
+	// RetryDenied counts retries the budget refused.
 	RetryDenied int64
-	Hedges      int64
-	HedgeWins   int64
 	// BreakerStates and Weights hold the health layer's per-backend view
 	// (nil when the layer is disabled); Degraded and AdmitFraction describe
 	// degraded-mode admission.
@@ -202,15 +149,14 @@ type Snapshot struct {
 	Weights       []float64
 	Degraded      bool
 	AdmitFraction float64
-	// UserCount and UserMeanSeconds summarize the per-user response times
-	// (merged across shards); UserStdDevSeconds is the Welford sample
-	// standard deviation.
-	UserCount         []int64
-	UserMeanSeconds   []float64
-	UserStdDevSeconds []float64
-	// UserP50 and UserP99 are log-interpolated histogram quantiles.
-	UserP50 []float64
-	UserP99 []float64
+	// ClassCount and ClassMeanSeconds summarize the response times per user
+	// class (users with equal phi_i, numbered in order of first occurrence
+	// in GatewayConfig.Arrivals); ClassP50 and ClassP99 are log-interpolated
+	// histogram quantiles.
+	ClassCount       []int64
+	ClassMeanSeconds []float64
+	ClassP50         []float64
+	ClassP99         []float64
 }
 
 func (m *gatewayMetrics) snapshot() *Snapshot {
@@ -222,7 +168,6 @@ func (m *gatewayMetrics) snapshot() *Snapshot {
 		ConnOpened:       make([]int64, len(m.connOpened)),
 		ConnReused:       make([]int64, len(m.connAttempts)),
 		Admitted:         m.admitted.Load(),
-		UserAdmitted:     make([]int64, m.nUsers),
 		RejectedRate:     m.rejectedRate.Load(),
 		RejectedSat:      m.rejectedSat.Load(),
 		RejectedUser:     m.rejectedUser.Load(),
@@ -234,8 +179,6 @@ func (m *gatewayMetrics) snapshot() *Snapshot {
 		TableInstalls:    m.tableInstalls.Load(),
 		BreakerOpens:     m.breakerOpens.Load(),
 		RetryDenied:      m.retryDenied.Load(),
-		Hedges:           m.hedges.Load(),
-		HedgeWins:        m.hedgeWins.Load(),
 	}
 	for j := range s.BackendRequests {
 		s.BackendRequests[j] = m.backendRequests[j].Load()
@@ -245,18 +188,16 @@ func (m *gatewayMetrics) snapshot() *Snapshot {
 		s.ConnOpened[j] = m.connOpened[j].Load()
 		s.ConnReused[j] = connReusedOf(m.connAttempts[j].Load(), s.ConnOpened[j])
 	}
-	hists, moments := m.mergeUsers()
-	s.UserCount = make([]int64, len(hists))
-	s.UserMeanSeconds = make([]float64, len(hists))
-	s.UserStdDevSeconds = make([]float64, len(hists))
-	s.UserP50 = make([]float64, len(hists))
-	s.UserP99 = make([]float64, len(hists))
-	for i, h := range hists {
-		s.UserCount[i] = h.N()
-		s.UserMeanSeconds[i] = moments[i].Mean()
-		s.UserStdDevSeconds[i] = moments[i].StdDev()
-		s.UserP50[i] = h.Quantile(0.5)
-		s.UserP99[i] = h.Quantile(0.99)
+	hists := m.classHists()
+	s.ClassCount = make([]int64, len(hists))
+	s.ClassMeanSeconds = make([]float64, len(hists))
+	s.ClassP50 = make([]float64, len(hists))
+	s.ClassP99 = make([]float64, len(hists))
+	for c, h := range hists {
+		s.ClassCount[c] = h.N()
+		s.ClassMeanSeconds[c] = h.Mean()
+		s.ClassP50[c] = h.Quantile(0.5)
+		s.ClassP99[c] = h.Quantile(0.99)
 	}
 	return s
 }
@@ -323,15 +264,16 @@ func (m *gatewayMetrics) render(b *strings.Builder) {
 	w("# HELP nashgate_retry_denied_total Retries refused by the retry budget.\n")
 	w("# TYPE nashgate_retry_denied_total counter\n")
 	w("nashgate_retry_denied_total %d\n", m.retryDenied.Load())
-	w("# HELP nashgate_hedges_total Tail-hedge requests launched and won.\n")
-	w("# TYPE nashgate_hedges_total counter\n")
-	w("nashgate_hedges_total{outcome=%q} %d\n", "launched", m.hedges.Load())
-	w("nashgate_hedges_total{outcome=%q} %d\n", "won", m.hedgeWins.Load())
 
-	w("# HELP nashgate_response_seconds Gateway-side response time per user.\n")
+	w("# HELP nashgate_user_class_members Users per class (users with equal arrival rate phi).\n")
+	w("# TYPE nashgate_user_class_members gauge\n")
+	for c, cl := range m.classes {
+		w("nashgate_user_class_members{class=\"%d\",phi=\"%g\"} %d\n", c, cl.Phi, cl.Count)
+	}
+
+	w("# HELP nashgate_response_seconds Gateway-side response time per user class.\n")
 	w("# TYPE nashgate_response_seconds histogram\n")
-	hists, _ := m.mergeUsers()
-	for i, h := range hists {
+	for c, h := range m.classHists() {
 		// Only emit non-empty buckets (plus +Inf) to keep the exposition
 		// compact; cumulative counts stay correct because CumulativeLE
 		// includes everything below each bound.
@@ -339,12 +281,12 @@ func (m *gatewayMetrics) render(b *strings.Builder) {
 			if h.Count(k) == 0 {
 				continue
 			}
-			w("nashgate_response_seconds_bucket{user=\"%d\",le=%q} %d\n",
-				i, formatBound(h.Bound(k+1)), h.CumulativeLE(k))
+			w("nashgate_response_seconds_bucket{class=\"%d\",le=%q} %d\n",
+				c, formatBound(h.Bound(k+1)), h.CumulativeLE(k))
 		}
-		w("nashgate_response_seconds_bucket{user=\"%d\",le=\"+Inf\"} %d\n", i, h.N())
-		w("nashgate_response_seconds_sum{user=\"%d\"} %g\n", i, h.Sum())
-		w("nashgate_response_seconds_count{user=\"%d\"} %d\n", i, h.N())
+		w("nashgate_response_seconds_bucket{class=\"%d\",le=\"+Inf\"} %d\n", c, h.N())
+		w("nashgate_response_seconds_sum{class=\"%d\"} %g\n", c, h.Sum())
+		w("nashgate_response_seconds_count{class=\"%d\"} %d\n", c, h.N())
 	}
 }
 

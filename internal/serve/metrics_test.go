@@ -2,6 +2,8 @@ package serve
 
 import (
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -10,16 +12,18 @@ import (
 	"nashlb/internal/stats"
 )
 
-// TestShardedObserveMatchesSingleStream records a stream of response times
-// through the sharded path (concurrently, from many goroutines) and checks
-// that the merged snapshot equals a single-stream reference accumulation.
-func TestShardedObserveMatchesSingleStream(t *testing.T) {
-	const users, perG, goroutines = 3, 2000, 8
-	m := newGatewayMetrics(2, users)
-	ref := make([]*stats.LogHistogram, users)
-	var refMoments [users]stats.Welford
-	for i := range ref {
-		ref[i] = stats.NewLogHistogram(histLo, histHi, histGrowth)
+// TestClassObserveMatchesSingleStream records a stream of response times
+// concurrently, from many goroutines, and checks that the per-class
+// histograms equal a single-stream reference accumulation keyed by class.
+func TestClassObserveMatchesSingleStream(t *testing.T) {
+	const perG, goroutines = 2000, 8
+	arrivals := []float64{3, 1, 3, 2, 1} // classes {0,2}, {1,4}, {3}
+	classOf := []int{0, 1, 0, 2, 1}
+	const classes = 3
+	m := newGatewayMetrics(2, arrivals)
+	ref := make([]*stats.LogHistogram, classes)
+	for c := range ref {
+		ref[c] = stats.NewLogHistogram(histLo, histHi, histGrowth)
 	}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -30,12 +34,11 @@ func TestShardedObserveMatchesSingleStream(t *testing.T) {
 			defer wg.Done()
 			r := rng.New(uint64(1000 + g))
 			for k := 0; k < perG; k++ {
-				user := r.Intn(users)
+				user := r.Intn(len(arrivals))
 				x := r.Exp(10) // ~100ms scale, inside the histogram range
 				m.observe(user, x)
 				mu.Lock()
-				ref[user].Add(x)
-				refMoments[user].Add(x)
+				ref[classOf[user]].Add(x)
 				mu.Unlock()
 			}
 		}()
@@ -43,28 +46,28 @@ func TestShardedObserveMatchesSingleStream(t *testing.T) {
 	wg.Wait()
 
 	snap := m.snapshot()
-	for i := 0; i < users; i++ {
-		if snap.UserCount[i] != ref[i].N() {
-			t.Errorf("user %d count = %d, want %d", i, snap.UserCount[i], ref[i].N())
+	if len(snap.ClassCount) != classes {
+		t.Fatalf("snapshot has %d classes, want %d", len(snap.ClassCount), classes)
+	}
+	for c := 0; c < classes; c++ {
+		if snap.ClassCount[c] != ref[c].N() {
+			t.Errorf("class %d count = %d, want %d", c, snap.ClassCount[c], ref[c].N())
 		}
-		// Welford merge order differs from single-stream insertion order, so
+		// Summation order differs from the reference's insertion order, so
 		// demand agreement to floating-point tolerance, not bit equality.
-		if rel := math.Abs(snap.UserMeanSeconds[i]-refMoments[i].Mean()) / refMoments[i].Mean(); rel > 1e-12 {
-			t.Errorf("user %d mean = %g, want %g (rel %g)", i, snap.UserMeanSeconds[i], refMoments[i].Mean(), rel)
-		}
-		if rel := math.Abs(snap.UserStdDevSeconds[i]-refMoments[i].StdDev()) / refMoments[i].StdDev(); rel > 1e-9 {
-			t.Errorf("user %d stddev = %g, want %g (rel %g)", i, snap.UserStdDevSeconds[i], refMoments[i].StdDev(), rel)
+		if rel := math.Abs(snap.ClassMeanSeconds[c]-ref[c].Mean()) / ref[c].Mean(); rel > 1e-12 {
+			t.Errorf("class %d mean = %g, want %g (rel %g)", c, snap.ClassMeanSeconds[c], ref[c].Mean(), rel)
 		}
 	}
 
-	merged, _ := m.mergeUsers()
-	for i := 0; i < users; i++ {
-		if merged[i].N() != ref[i].N() || merged[i].Underflow() != ref[i].Underflow() || merged[i].Overflow() != ref[i].Overflow() {
-			t.Errorf("user %d merged totals diverge from reference", i)
+	got := m.classHists()
+	for c := 0; c < classes; c++ {
+		if got[c].N() != ref[c].N() || got[c].Underflow() != ref[c].Underflow() || got[c].Overflow() != ref[c].Overflow() {
+			t.Errorf("class %d totals diverge from reference", c)
 		}
-		for k := 0; k < ref[i].Buckets(); k++ {
-			if merged[i].Count(k) != ref[i].Count(k) {
-				t.Errorf("user %d bucket %d = %d, want %d", i, k, merged[i].Count(k), ref[i].Count(k))
+		for k := 0; k < ref[c].Buckets(); k++ {
+			if got[c].Count(k) != ref[c].Count(k) {
+				t.Errorf("class %d bucket %d = %d, want %d", c, k, got[c].Count(k), ref[c].Count(k))
 			}
 		}
 	}
@@ -73,7 +76,7 @@ func TestShardedObserveMatchesSingleStream(t *testing.T) {
 // TestObserveAllocs is the allocation-regression gate for the gateway's
 // request-recording path.
 func TestObserveAllocs(t *testing.T) {
-	m := newGatewayMetrics(4, 3)
+	m := newGatewayMetrics(4, []float64{1, 2, 3})
 	x := 0.017
 	if allocs := testing.AllocsPerRun(1000, func() {
 		m.observe(1, x)
@@ -83,21 +86,21 @@ func TestObserveAllocs(t *testing.T) {
 	}
 }
 
-// TestRenderMergesShards checks the Prometheus exposition sums shard-local
-// counts into one coherent per-user histogram.
-func TestRenderMergesShards(t *testing.T) {
-	m := newGatewayMetrics(1, 2)
+// TestRenderPerClassHistogram checks the Prometheus exposition reports one
+// coherent histogram per class (distinct rates here, so class k is user k).
+func TestRenderPerClassHistogram(t *testing.T) {
+	m := newGatewayMetrics(1, []float64{2, 1})
 	for k := 0; k < 500; k++ {
-		m.observe(0, 0.001+float64(k)*1e-4) // spread across shards and buckets
+		m.observe(0, 0.001+float64(k)*1e-4) // spread across buckets
 	}
 	m.observe(1, 0.5)
 	var b strings.Builder
 	m.render(&b)
 	out := b.String()
 	for _, want := range []string{
-		`nashgate_response_seconds_count{user="0"} 500`,
-		`nashgate_response_seconds_count{user="1"} 1`,
-		`nashgate_response_seconds_bucket{user="0",le="+Inf"} 500`,
+		`nashgate_response_seconds_count{class="0"} 500`,
+		`nashgate_response_seconds_count{class="1"} 1`,
+		`nashgate_response_seconds_bucket{class="0",le="+Inf"} 500`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
@@ -105,12 +108,47 @@ func TestRenderMergesShards(t *testing.T) {
 	}
 }
 
+// TestMetricsSeriesBoundedByClasses checks the /metrics cardinality is set
+// by the user classes, not the user count: the same two classes with 2
+// users and with 10 000 users expose the same number of series.
+func TestMetricsSeriesBoundedByClasses(t *testing.T) {
+	series := func(users int) int {
+		arrivals := make([]float64, users)
+		for i := range arrivals {
+			arrivals[i] = float64(10 + 10*(i%2))
+		}
+		g, err := NewGateway(GatewayConfig{
+			Backends: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
+			Rates:    []float64{50, 30},
+			Arrivals: arrivals,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.met.observe(0, 0.01)
+		g.met.observe(1, 0.02)
+		rec := httptest.NewRecorder()
+		g.handleMetrics(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		n := 0
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if line != "" && !strings.HasPrefix(line, "#") {
+				n++
+			}
+		}
+		return n
+	}
+	small, large := series(2), series(10000)
+	if small != large {
+		t.Fatalf("/metrics has %d series for 2 users but %d for 10000 users in the same 2 classes", small, large)
+	}
+}
+
 // BenchmarkCoreGatewayRecord measures the request path's metrics recording
-// under parallel load — the contention the sharding removes. The seed
-// implementation (one global histogram mutex) ran this at ~150 ns/op on
-// multi-core; the sharded path should approach its serial cost.
+// under parallel load: every recording takes the one accounting mutex, so
+// this is the contended cost. The serial variant below is its uncontended
+// baseline.
 func BenchmarkCoreGatewayRecord(b *testing.B) {
-	m := newGatewayMetrics(4, 3)
+	m := newGatewayMetrics(4, []float64{1, 2, 3})
 	b.RunParallel(func(pb *testing.PB) {
 		x := 0.001
 		for pb.Next() {
@@ -123,7 +161,7 @@ func BenchmarkCoreGatewayRecord(b *testing.B) {
 // BenchmarkCoreGatewayRecordSerial is the uncontended baseline for the
 // same path.
 func BenchmarkCoreGatewayRecordSerial(b *testing.B) {
-	m := newGatewayMetrics(4, 3)
+	m := newGatewayMetrics(4, []float64{1, 2, 3})
 	x := 0.001
 	for i := 0; i < b.N; i++ {
 		m.observe(1, x)

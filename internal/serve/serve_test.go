@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -244,8 +245,8 @@ func TestGatewayRoutesByProfile(t *testing.T) {
 	if total != reqs || snap.Admitted != reqs {
 		t.Fatalf("counters: requests %d admitted %d, want %d", total, snap.Admitted, reqs)
 	}
-	if snap.UserCount[0] != reqs || snap.UserMeanSeconds[0] <= 0 {
-		t.Fatalf("histogram: count %d mean %g", snap.UserCount[0], snap.UserMeanSeconds[0])
+	if snap.ClassCount[0] != reqs || snap.ClassMeanSeconds[0] <= 0 {
+		t.Fatalf("histogram: count %d mean %g", snap.ClassCount[0], snap.ClassMeanSeconds[0])
 	}
 }
 
@@ -372,12 +373,54 @@ func TestGatewayMetricsEndpoint(t *testing.T) {
 		`nashgate_backend_requests_total{backend="0"}`,
 		`nashgate_backend_queue_depth{backend="1"}`,
 		"nashgate_rebalances_total 0",
-		`nashgate_response_seconds_bucket{user="0",le="+Inf"} 2`,
-		`nashgate_response_seconds_count{user="1"} 2`,
+		`nashgate_response_seconds_bucket{class="0",le="+Inf"} 2`,
+		`nashgate_response_seconds_count{class="1"} 2`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestGatewayEqualPhiSharesClass checks that requests from two users with
+// the same arrival rate accumulate in one latency class, numbered in order
+// of first occurrence, while a user with a different rate keeps its own.
+func TestGatewayEqualPhiSharesClass(t *testing.T) {
+	g, _ := newTestCluster(t, GatewayConfig{
+		Arrivals: []float64{100, 50, 100},
+	}, []float64{2000, 2000})
+
+	for _, user := range []int{0, 2, 2, 1, 0} {
+		resp, err := http.Get(fmt.Sprintf("%s/submit?user=%d", g.URL(), user))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("user %d: status %d", user, resp.StatusCode)
+		}
+	}
+
+	snap := g.Metrics()
+	if len(snap.ClassCount) != 2 || snap.ClassCount[0] != 4 || snap.ClassCount[1] != 1 {
+		t.Fatalf("class counts = %v, want [4 1]", snap.ClassCount)
+	}
+	rec := httptest.NewRecorder()
+	g.handleMetrics(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	text := rec.Body.String()
+	for _, want := range []string{
+		`nashgate_user_class_members{class="0",phi="100"} 2`,
+		`nashgate_user_class_members{class="1",phi="50"} 1`,
+		`nashgate_response_seconds_count{class="0"} 4`,
+		`nashgate_response_seconds_count{class="1"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("metrics output missing %q:\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, `class="2"`) {
+		t.Fatalf("a third class appeared for two distinct rates:\n%s", text)
 	}
 }
 
