@@ -11,7 +11,7 @@
 #
 # It then runs the BenchmarkServeThroughput family (gateway hot path,
 # legacy comparison, end-to-end HTTP) plus the admission/parse/encode
-# micro-benchmarks and merges them into BENCH_serve.json (schema 4) under
+# micro-benchmarks and merges them into BENCH_serve.json (schema 5) under
 # the "throughput" key via `benchjson -serve`, which refuses to touch a
 # document whose schema it does not understand.
 #

@@ -41,7 +41,7 @@ var ErrBadArrival = errors.New("core: arrival rate must be positive and finite")
 // (saturated by the other users) are treated as unusable and receive zero.
 //
 // The returned strategy is expressed in the original computer order.
-// Complexity is O(n log n) from the sort.
+// Complexity is O(n log n) from the sort; the shrink loop is O(n).
 func Optimal(available []float64, arrival float64) (game.Strategy, error) {
 	n := len(available)
 	if n == 0 {
@@ -74,16 +74,28 @@ func Optimal(available []float64, arrival float64) (game.Strategy, error) {
 	perm := numeric.ArgsortDescending(rates)
 	sorted := numeric.Permute(rates, perm)
 
-	// Steps 2–3: shrink the active prefix until t < sqrt(a_c).
-	sqrts := make([]float64, len(sorted))
+	// Steps 2–3: shrink the active prefix until t < sqrt(a_c), where
+	// t = (sum_{k<c} a_k - lambda) / sum_{k<c} sqrt(a_k). Both prefix sums
+	// are folded once, forward: a fold stopped at length c is bitwise
+	// numeric.Sum of the first c entries, so each water level is what
+	// re-summing the prefix would give, without the O(n^2) cost when most
+	// computers are dropped.
+	m := len(sorted)
+	sqrts := make([]float64, m)
+	sumA := make([]float64, m)
+	sumS := make([]float64, m)
+	var accA, accS numeric.Accumulator
 	for k, a := range sorted {
 		sqrts[k] = math.Sqrt(a)
+		accA.Add(a)
+		accS.Add(sqrts[k])
+		sumA[k], sumS[k] = accA.Value(), accS.Value()
 	}
-	c := len(sorted)
-	t := waterLevel(sorted[:c], sqrts[:c], arrival)
+	c := m
+	t := (sumA[c-1] - arrival) / sumS[c-1]
 	for c > 1 && t >= sqrts[c-1] {
 		c--
-		t = waterLevel(sorted[:c], sqrts[:c], arrival)
+		t = (sumA[c-1] - arrival) / sumS[c-1]
 	}
 
 	// Step 4: assign fractions.
@@ -127,14 +139,6 @@ func Optimal(available []float64, arrival float64) (game.Strategy, error) {
 		}
 	}
 	return s, nil
-}
-
-// waterLevel returns t = (sum(a) - lambda) / sum(sqrt(a)) over the given
-// active prefix.
-func waterLevel(rates, sqrts []float64, arrival float64) float64 {
-	num := numeric.Sum(rates) - arrival
-	den := numeric.Sum(sqrts)
-	return num / den
 }
 
 // ResponseTime evaluates the user's expected response time

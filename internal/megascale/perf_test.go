@@ -94,3 +94,50 @@ func BenchmarkCoreMegascaleSolve(b *testing.B) {
 	b.ReportMetric(float64(solves)/float64(b.N), "solves/op")
 	b.ReportMetric(float64(skips)/float64(b.N), "skips/op")
 }
+
+// BenchmarkCoreMegascaleResolve is the bench.sh row for the warm path: a
+// SolveFrom from the equilibrium of 2000 machines shared by 200k users in
+// 100 classes, after a tenth of the classes drifted their arrival rates by
+// ±5% (total load rescaled back to rho = 0.7), the planet-scale re-solve
+// pattern at a fifth of the machines.
+func BenchmarkCoreMegascaleResolve(b *testing.B) {
+	const machines, nclasses, users, rho = 2000, 100, 200_000, 0.7
+	cs := benchClassSystem(machines, nclasses, users, rho)
+	eps := 1e-6 * float64(cs.Users())
+	opts := Options{Init: core.InitProportional, Epsilon: eps}
+	cold, err := Solve(cs, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	classes := append([]Class(nil), cs.Classes...)
+	var before, after float64
+	for c := range classes {
+		before += classes[c].Weight()
+		if c%10 == 0 {
+			classes[c].Phi *= 1 + 0.05*float64(2*(c/10%2)-1)
+		}
+		after += classes[c].Weight()
+	}
+	for c := range classes {
+		classes[c].Phi *= before / after
+	}
+	drifted, err := NewClassSystem(cs.Rates, classes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rounds, solves, skips int64
+	for i := 0; i < b.N; i++ {
+		res, err := SolveFrom(drifted, cold.Profile, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rounds += int64(res.Rounds)
+		solves += res.Solves
+		skips += res.Skips
+	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+	b.ReportMetric(float64(solves)/float64(b.N), "solves/op")
+	b.ReportMetric(float64(skips)/float64(b.N), "skips/op")
+}

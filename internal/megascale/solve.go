@@ -106,10 +106,19 @@ func (st *classState) Less(i, j int) bool {
 }
 func (st *classState) Swap(i, j int) { st.order[i], st.order[j] = st.order[j], st.order[i] }
 
-// insertionRepair restores the canonical order by insertion sort, which runs
-// in O(len + inversions): cheap when only a few machines moved.
+// repairShiftsPerMachine bounds insertionRepair's work: after this many
+// element shifts per machine it gives up and falls back to sort.Sort.
+const repairShiftsPerMachine = 2
+
+// insertionRepair restores the canonical order in place. Insertion sort runs
+// in O(len + inversions), which is cheap when the cached order is nearly
+// right — the common case, since a class's capacities drift only slightly
+// between turns. Once the shift budget runs out it sorts the rest with
+// sort.Sort, so a heavily scrambled order still costs O(len log len). The
+// order is total, so either path yields the same permutation.
 func (st *classState) insertionRepair() {
 	order, A := st.order, st.A
+	budget := repairShiftsPerMachine * len(order)
 	for i := 1; i < len(order); i++ {
 		k := order[i]
 		a := A[k]
@@ -119,7 +128,13 @@ func (st *classState) insertionRepair() {
 			if A[prev] > a || (A[prev] == a && prev < k) {
 				break
 			}
-			order[j] = order[j-1]
+			if budget == 0 {
+				order[j] = k
+				sort.Sort(st)
+				return
+			}
+			budget--
+			order[j] = prev
 			j--
 		}
 		order[j] = k
@@ -140,8 +155,14 @@ type solver struct {
 	tick       int64
 	lastChange int64
 	classes    []classState
-	solves     int64
-	skips      int64
+	// seed is the order the last unconstrained class to solve left behind.
+	// Every unconstrained class spans all machines in ascending id order, so
+	// a position names the same machine in each of them, and the classes see
+	// nearly the same capacities: a class on its first turn starts its
+	// repair from seed rather than from the identity permutation.
+	seed   []int32
+	solves int64
+	skips  int64
 }
 
 // Solve runs the class-aggregated NASH best-reply iteration from the
@@ -172,7 +193,7 @@ func SolveFrom(cs *ClassSystem, start *ClassProfile, opts Options) (*Result, err
 	if start == nil {
 		return nil, fmt.Errorf("megascale: nil starting profile")
 	}
-	if !start.sameShape(NewClassProfile(cs)) {
+	if !start.fits(cs) {
 		return nil, fmt.Errorf("megascale: starting profile shape does not match the class system")
 	}
 	return solveFrom(cs, start.Clone(), opts)
@@ -337,8 +358,12 @@ func (s *solver) round() (norm, maxShift float64, err error) {
 			s.skips++
 			continue
 		}
+		unconstrained := s.cs.Classes[ci].Machines == nil
 		changed := 0
 		if fresh {
+			if unconstrained && s.seed != nil {
+				copy(st.order, s.seed)
+			}
 			for k, j := range st.cols {
 				a := s.cs.Rates[j] - s.loads[j] + st.weight*st.frac[k]
 				st.A[k] = a
@@ -363,9 +388,12 @@ func (s *solver) round() (norm, maxShift float64, err error) {
 			s.skips++
 			continue
 		}
-		d, shift, serr := s.solveClass(st, fresh, changed)
+		d, shift, serr := s.solveClass(st)
 		if serr != nil {
 			return 0, 0, fmt.Errorf("class %d: %w", ci, serr)
+		}
+		if unconstrained {
+			s.seed = st.order
 		}
 		s.solves++
 		if shift > maxShift {
@@ -393,15 +421,9 @@ func sqrtPos(a float64) float64 {
 // class as a whole sees (A_j = mu_j - lambda_j + W*s_j is invariant under
 // the class's own moves), the cached A vector stays valid across the
 // class's own update and only other classes' moves dirty it.
-func (s *solver) solveClass(st *classState, fresh bool, changed int) (d, shift float64, err error) {
+func (s *solver) solveClass(st *classState) (d, shift float64, err error) {
 	span := len(st.order)
-	// Repair the cached order: full sort when a large fraction of the
-	// machines moved (or on first touch), insertion repair otherwise.
-	if fresh || changed*8 > span {
-		sort.Sort(st)
-	} else {
-		st.insertionRepair()
-	}
+	st.insertionRepair()
 	usable := 0
 	for usable < span && st.A[st.order[usable]] > 0 {
 		usable++

@@ -96,13 +96,15 @@ func (p *ClassProfile) Clone() *ClassProfile {
 	}
 }
 
-// sameShape reports whether q has the identical row/column structure.
-func (p *ClassProfile) sameShape(q *ClassProfile) bool {
-	if p.machines != q.machines || len(p.rowPtr) != len(q.rowPtr) || len(p.cols) != len(q.cols) {
+// fits reports whether the profile has the row structure NewClassProfile(cs)
+// would build: one row per class over the same machine count, each row as
+// long as the class's machine span. It allocates nothing.
+func (p *ClassProfile) fits(cs *ClassSystem) bool {
+	if p.machines != len(cs.Rates) || p.Rows() != len(cs.Classes) {
 		return false
 	}
-	for i := range p.rowPtr {
-		if p.rowPtr[i] != q.rowPtr[i] {
+	for c := range cs.Classes {
+		if p.rowPtr[c+1]-p.rowPtr[c] != cs.machineSpan(c) {
 			return false
 		}
 	}
