@@ -20,7 +20,8 @@
 //	[-ramp-steps 3] [-degraded-rho 0.9] [-retry-budget 0.1]
 //
 // Endpoints: /submit?user=i (or X-User header) serves one request;
-// /metrics is the text exposition; /routing reports the live profile;
+// /metrics is the text exposition; /routing reports the installed table's
+// distinct strategy rows (one per user class) with their member counts;
 // /backends reports breaker states, weights and probe counters;
 // /healthz is a liveness probe.
 //

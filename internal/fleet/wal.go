@@ -38,7 +38,9 @@ type Snapshot struct {
 	EstRates  []float64 `json:"est_rates,omitempty"`
 	AggSmooth []float64 `json:"agg_smooth,omitempty"`
 	// Profile, AdmitFrac and OfferedRate are the installed table's routing
-	// content (nil Profile when no table had been installed yet).
+	// content (nil Profile when no table had been installed yet). On disk
+	// the profile is its distinct rows plus a per-user row index
+	// (classRows), as on the wire.
 	Profile     game.Profile `json:"profile,omitempty"`
 	AdmitFrac   float64      `json:"admit_frac"`
 	OfferedRate float64      `json:"offered_rate"`
@@ -46,8 +48,9 @@ type Snapshot struct {
 
 // Snapshot frame: an 8-byte magic, the payload length, and a CRC32 over the
 // payload, so a torn write, truncation or bit flip is rejected as a unit —
-// never loaded partially.
-const snapMagic = "NLBSNAP1"
+// never loaded partially. Version 2 stores the profile as class rows; a
+// version-1 (dense profile) snapshot fails with bad magic.
+const snapMagic = "NLBSNAP2"
 
 // snapHeaderLen is magic + uint32 length + uint32 CRC.
 const snapHeaderLen = len(snapMagic) + 4 + 4
@@ -60,12 +63,32 @@ const snapFile = "fleet.snap"
 // semantic validation.
 var ErrCorruptSnapshot = errors.New("fleet: corrupt snapshot")
 
+// plainSnapshot is Snapshot without its profile's wire form: snapshotWire
+// embeds it and shadows Profile with the class rows.
+type plainSnapshot Snapshot
+
+// snapshotWire is Snapshot's on-disk payload; a nil Profile means no table.
+type snapshotWire struct {
+	plainSnapshot
+	Profile *classRows `json:"profile,omitempty"`
+}
+
+func (s Snapshot) wire() snapshotWire {
+	w := snapshotWire{plainSnapshot: plainSnapshot(s)}
+	if len(s.Profile) > 0 {
+		rows := newClassRows(s.Profile)
+		w.Profile = &rows
+	}
+	return w
+}
+
 // EncodeSnapshot frames a snapshot for disk.
 func EncodeSnapshot(s Snapshot) ([]byte, error) {
-	if err := s.validate(); err != nil {
+	w := s.wire()
+	if err := w.validate(); err != nil {
 		return nil, err
 	}
-	payload, err := json.Marshal(s)
+	payload, err := json.Marshal(w)
 	if err != nil {
 		return nil, err
 	}
@@ -96,17 +119,22 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 	if crc32.ChecksumIEEE(payload) != sum {
 		return Snapshot{}, fmt.Errorf("%w: CRC mismatch", ErrCorruptSnapshot)
 	}
-	var s Snapshot
-	if err := decodeStrict(payload, &s); err != nil {
+	var w snapshotWire
+	if err := decodeStrict(payload, &w); err != nil {
 		return Snapshot{}, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 	}
-	if err := s.validate(); err != nil {
+	if err := w.validate(); err != nil {
 		return Snapshot{}, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
+	}
+	s := Snapshot(w.plainSnapshot)
+	if w.Profile != nil {
+		s.Profile = w.Profile.profile()
 	}
 	return s, nil
 }
 
-func (s Snapshot) validate() error {
+func (w *snapshotWire) validate() error {
+	s := &w.plainSnapshot
 	if s.Leader < -1 {
 		return fmt.Errorf("invalid leader id %d", s.Leader)
 	}
@@ -132,15 +160,11 @@ func (s Snapshot) validate() error {
 			return fmt.Errorf("invalid smoothed aggregate[%d]=%g", i, x)
 		}
 	}
-	if s.Profile != nil {
+	if w.Profile != nil {
 		if s.Version == 0 {
 			return errors.New("table content without a version")
 		}
-		for i := range s.Profile {
-			if err := game.CheckStrategy(s.Profile[i], len(s.Active)); err != nil {
-				return fmt.Errorf("profile row %d: %w", i, err)
-			}
-		}
+		return w.Profile.check(len(s.Active))
 	}
 	return nil
 }

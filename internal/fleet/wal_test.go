@@ -1,9 +1,15 @@
 package fleet
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"nashlb/internal/game"
@@ -86,7 +92,7 @@ func TestSnapshotSemanticValidation(t *testing.T) {
 		func(s *Snapshot) { s.AdmitFrac = 1.5 },
 		func(s *Snapshot) { s.EstRates = []float64{-1} },
 		func(s *Snapshot) { s.Profile = game.Profile{{0.5, 0.5}} }, // wrong width
-		func(s *Snapshot) { s.Version = 0 },                       // content without a version
+		func(s *Snapshot) { s.Version = 0 },                        // content without a version
 	}
 	for i, f := range bad {
 		s := testSnapshot()
@@ -149,6 +155,52 @@ func TestWALCorruptFileFailsOpen(t *testing.T) {
 	}
 }
 
+// frame wraps a payload in the snapshot frame under the given magic.
+func frame(magic string, payload []byte) []byte {
+	out := append([]byte(magic), binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	return append(out, payload...)
+}
+
+// TestSnapshotProfileAsClassRows pins the snapshot's profile encoding: a
+// profile of repeated rows is stored once per distinct row and comes back
+// dense and unchanged.
+func TestSnapshotProfileAsClassRows(t *testing.T) {
+	want := testSnapshot()
+	want.Profile = game.Profile{{0.5, 0, 0.5}, {0.25, 0, 0.75}, {0.5, 0, 0.5}, {0.5, 0, 0.5}}
+	data, err := EncodeSnapshot(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"profile":{"rows":[[0.5,0,0.5],[0.25,0,0.75]],"row_of":[0,1,0,0]}`)) {
+		t.Fatalf("snapshot does not store the profile as class rows: %s", data[snapHeaderLen:])
+	}
+	got, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip: got %+v, want %+v", got, want)
+	}
+}
+
+// A snapshot written in the version-1 format (dense profile, NLBSNAP1) must
+// fail OpenWAL loudly with bad magic, never load as something else.
+func TestWALOldFormatFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	old, err := json.Marshal(testSnapshot()) // the dense, version-1 payload
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapFile), frame("NLBSNAP1", old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, s, err := OpenWAL(dir)
+	if !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("OpenWAL on a version-1 snapshot: snapshot %v, err = %v, want ErrCorruptSnapshot with bad magic", s, err)
+	}
+}
+
 // FuzzWALDecode asserts the crash-recovery path never panics and never loads
 // partial state: any byte string either decodes to a snapshot that validates
 // and round-trips, or is rejected whole.
@@ -166,6 +218,16 @@ func FuzzWALDecode(f *testing.F) {
 	flip := append([]byte(nil), good...)
 	flip[snapHeaderLen+2] ^= 0x40
 	f.Add(flip)
+	shared := testSnapshot()
+	shared.Profile = game.Profile{{0.5, 0, 0.5}, {0.25, 0, 0.75}, {0.5, 0, 0.5}, {0.25, 0, 0.75}}
+	if data, err := EncodeSnapshot(shared); err == nil {
+		f.Add(data)
+	}
+	f.Add(frame(snapMagic, []byte(`{"gen":1,"grant_gen":1,"epoch":1,"version":1,"leader":0,"active":[true],`+
+		`"profile":{"rows":[[1]],"row_of":[0,3]},"admit_frac":1,"offered_rate":1}`)))
+	if old, err := json.Marshal(testSnapshot()); err == nil {
+		f.Add(frame("NLBSNAP1", old))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSnapshot(data)
 		if err != nil {

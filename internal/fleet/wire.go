@@ -58,7 +58,8 @@ type Table struct {
 	// sizing its degraded-mode bucket (leader fills it per recipient).
 	OfferedRate float64 `json:"offered_rate"`
 	// Profile is the solved equilibrium: one row per user, one column per
-	// machine in Machines.
+	// machine in Machines. On the wire it travels as its distinct rows plus
+	// a per-user row index (classRows).
 	Profile game.Profile `json:"profile"`
 }
 
@@ -154,30 +155,95 @@ func validMachines(ms []Machine) error {
 	return nil
 }
 
-// EncodeTable serializes a table for the control plane.
+// classRows is a profile's wire form: each distinct strategy row once, in
+// order of first appearance, and each user's index into them
+// (game.Profile.Rows). Equilibrium rows depend only on a user's class, so a
+// population's table costs O(classes × machines + users) bytes on the wire
+// and on disk instead of O(users × machines). It is the only form a profile
+// travels in.
+type classRows struct {
+	Rows  []game.Strategy `json:"rows"`
+	RowOf []int32         `json:"row_of"`
+}
+
+func newClassRows(p game.Profile) classRows {
+	rows, rowOf := p.Rows()
+	return classRows{Rows: rows, RowOf: rowOf}
+}
+
+// check validates the wire form over the given machine count: each distinct
+// row a feasible strategy with one column per machine (bit-identical rows
+// share one verdict, so it runs once per class), every index in range.
+func (c *classRows) check(machines int) error {
+	for r, st := range c.Rows {
+		if err := game.CheckStrategy(st, machines); err != nil {
+			return fmt.Errorf("profile row %d: %w", r, err)
+		}
+	}
+	for i, r := range c.RowOf {
+		if r < 0 || int(r) >= len(c.Rows) {
+			return fmt.Errorf("user %d has profile row %d of %d", i, r, len(c.Rows))
+		}
+	}
+	return nil
+}
+
+// profile expands the wire form back to one row per user. The users of a
+// row share its storage, so a message expands to one slice header per
+// user, never to users × machines floats: a hostile message under
+// MaxMessage cannot make the decoder allocate gigabytes. Installed
+// profiles are read-only, so the sharing is safe.
+func (c *classRows) profile() game.Profile {
+	p := make(game.Profile, len(c.RowOf))
+	for i, r := range c.RowOf {
+		p[i] = c.Rows[r]
+	}
+	return p
+}
+
+// plainTable is Table without its profile's wire form: tableWire embeds it
+// and shadows Profile with the class rows.
+type plainTable Table
+
+// tableWire is Table's wire form.
+type tableWire struct {
+	plainTable
+	Profile classRows `json:"profile"`
+}
+
+func (t Table) wire() tableWire { return tableWire{plainTable(t), newClassRows(t.Profile)} }
+
+// EncodeTable serializes a table for the control plane, its profile as
+// class rows plus a per-user row index.
 func EncodeTable(t Table) ([]byte, error) {
-	if err := t.validate(); err != nil {
+	w := t.wire()
+	if err := w.validate(); err != nil {
 		return nil, err
 	}
-	return json.Marshal(t)
+	return json.Marshal(w)
 }
 
 // DecodeTable parses and validates a table: machine list well-formed,
-// arrivals positive and finite, the profile a feasible strategy per user
-// with one column per machine, AdmitFrac in [0, 1]. Malformed input is
-// rejected, never installed.
+// arrivals positive and finite, one profile row index per user and in
+// range, every distinct row a feasible strategy with one column per
+// machine, AdmitFrac in [0, 1]. Malformed input is rejected, never
+// installed. The profile comes back with one row per user; users of one
+// class share their row's storage, so treat it as read-only.
 func DecodeTable(data []byte) (Table, error) {
-	var t Table
-	if err := decodeStrict(data, &t); err != nil {
+	var w tableWire
+	if err := decodeStrict(data, &w); err != nil {
 		return Table{}, err
 	}
-	if err := t.validate(); err != nil {
+	if err := w.validate(); err != nil {
 		return Table{}, err
 	}
+	t := Table(w.plainTable)
+	t.Profile = w.Profile.profile()
 	return t, nil
 }
 
-func (t Table) validate() error {
+func (w *tableWire) validate() error {
+	t := &w.plainTable
 	if t.Leader < 0 {
 		return fmt.Errorf("fleet: negative leader id %d", t.Leader)
 	}
@@ -198,13 +264,11 @@ func (t Table) validate() error {
 	if !(t.OfferedRate >= 0) || !finite(t.OfferedRate) {
 		return fmt.Errorf("fleet: invalid offered rate %g", t.OfferedRate)
 	}
-	if len(t.Profile) != len(t.Arrivals) {
-		return fmt.Errorf("fleet: profile has %d rows for %d users", len(t.Profile), len(t.Arrivals))
+	if len(w.Profile.RowOf) != len(t.Arrivals) {
+		return fmt.Errorf("fleet: profile has %d rows for %d users", len(w.Profile.RowOf), len(t.Arrivals))
 	}
-	for i := range t.Profile {
-		if err := game.CheckStrategy(t.Profile[i], len(t.Machines)); err != nil {
-			return fmt.Errorf("fleet: profile row %d: %w", i, err)
-		}
+	if err := w.Profile.check(len(t.Machines)); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	return nil
 }

@@ -17,6 +17,7 @@
 package game
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -167,6 +168,20 @@ func (p Profile) Clone() Profile {
 	return q
 }
 
+// Equal reports whether two strategies have the same length and the same
+// float64 value in every entry (NaNs compare unequal, as in ==).
+func (st Strategy) Equal(o Strategy) bool {
+	if len(st) != len(o) {
+		return false
+	}
+	for j := range st {
+		if st[j] != o[j] {
+			return false
+		}
+	}
+	return true
+}
+
 // Equal reports whether two profiles are bitwise-identical: same shape and
 // same float64 values in every cell (NaNs compare unequal, as in ==). The
 // serving layer uses it to skip re-resolving a routing table when a control
@@ -176,16 +191,49 @@ func (p Profile) Equal(q Profile) bool {
 		return false
 	}
 	for i := range p {
-		if len(p[i]) != len(q[i]) {
+		if !p[i].Equal(q[i]) {
 			return false
-		}
-		for j := range p[i] {
-			if p[i][j] != q[i][j] {
-				return false
-			}
 		}
 	}
 	return true
+}
+
+// Rows returns the profile's distinct strategy rows and each user's index
+// into them: row rowOf[i] is bitwise-identical to p[i]. Rows are keyed by
+// their float64 bit patterns (so -0 and +0 make different rows) and
+// numbered in order of first appearance; they are copies, sharing no memory
+// with p. At a Nash equilibrium users with equal arrival rates play the
+// same best reply, so a population's profile has one row per user class and
+// rows plus index take O(classes·n + users) space instead of O(users·n).
+// ExpandRows is the inverse.
+func (p Profile) Rows() (rows []Strategy, rowOf []int32) {
+	rowOf = make([]int32, len(p))
+	index := make(map[string]int32)
+	var key []byte
+	for i, st := range p {
+		key = key[:0]
+		for _, f := range st {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(f))
+		}
+		r, ok := index[string(key)]
+		if !ok {
+			r = int32(len(rows))
+			index[string(key)] = r
+			rows = append(rows, st.Clone())
+		}
+		rowOf[i] = r
+	}
+	return rows, rowOf
+}
+
+// ExpandRows is the inverse of Profile.Rows: the profile whose row i is a
+// copy of rows[rowOf[i]]. Every index must be in range.
+func ExpandRows(rows []Strategy, rowOf []int32) Profile {
+	p := make(Profile, len(rowOf))
+	for i, r := range rowOf {
+		p[i] = rows[r].Clone()
+	}
+	return p
 }
 
 // UniformProfile returns the profile in which every user spreads jobs

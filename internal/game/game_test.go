@@ -140,6 +140,39 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestProfileRows pins the class-row helper: distinct rows keyed by bit
+// pattern (signed zeros differ), numbered by first appearance, copied out
+// of the profile, and expanded back bitwise by ExpandRows.
+func TestProfileRows(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	p := Profile{{0.5, 0.5, 0}, {1, 0, 0}, {0.5, 0.5, 0}, {0.5, 0.5, negZero}, {1, 0, 0}}
+	rows, rowOf := p.Rows()
+	if len(rows) != 3 {
+		t.Fatalf("%d rows, want 3", len(rows))
+	}
+	for i, want := range []int32{0, 1, 0, 2, 1} {
+		if rowOf[i] != want {
+			t.Fatalf("rowOf = %v, want [0 1 0 2 1]", rowOf)
+		}
+	}
+	rows[0][0] = 0.9
+	if p[0][0] != 0.5 {
+		t.Fatal("Rows shares storage with the profile")
+	}
+	rows[0][0] = 0.5
+	q := ExpandRows(rows, rowOf)
+	for i := range p {
+		for j := range p[i] {
+			if math.Float64bits(q[i][j]) != math.Float64bits(p[i][j]) {
+				t.Fatalf("ExpandRows()[%d][%d] = %g, want %g", i, j, q[i][j], p[i][j])
+			}
+		}
+	}
+	if rows, rowOf := Profile(nil).Rows(); len(rows) != 0 || len(rowOf) != 0 || len(ExpandRows(rows, rowOf)) != 0 {
+		t.Fatal("an empty profile has rows")
+	}
+}
+
 func TestLoadsAndAvailableRates(t *testing.T) {
 	s := twoBy3()
 	p := Profile{

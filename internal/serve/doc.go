@@ -24,7 +24,11 @@
 // out), and every writer of the routing state — construction, the online
 // best replies, the survivor re-solve and the control plane's InstallTable —
 // swaps the route table, shedding state and active set through one install
-// routine under one lock.
+// routine under one lock. The route table keeps each distinct strategy row
+// once — at equilibrium one per user class — with a per-user class index,
+// so routing state is O(classes × machines + users), never users ×
+// machines; Gateway.Profile expands it on demand and /routing reports the
+// rows with their member counts.
 //
 // Response times are accounted per user class — users with bitwise-equal
 // arrival rate phi_i, which the game treats as interchangeable and

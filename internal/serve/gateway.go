@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -126,62 +125,70 @@ type GatewayConfig struct {
 
 // routeTable is an immutable, fully pre-resolved routing state, swapped
 // atomically by the re-equilibration loop. Resolution happens once at table
-// install, never per request: users with identical strategy rows — the
-// common case, since equilibrium rows depend only on a user's class — are
-// mapped to one shared class (classOf), each class owns one O(1) alias
-// sampler and one precomputed fallback order (its positive-weight backends
-// by descending weight), so the request path is two array loads and a Pick.
-// A table over n_classes distinct rows builds n_classes alias structures,
-// not n_users. Sharing is safe: an Alias is immutable after construction
-// and Pick draws all randomness from the caller's per-user stream.
+// install, never per request: users with bitwise-identical strategy rows —
+// the common case, since equilibrium rows depend only on a user's class —
+// share one class (classOf), and the table keeps each class's row once with
+// one O(1) alias sampler and one precomputed fallback order (its
+// positive-weight backends by descending weight), so the request path is
+// two array loads and a Pick. A table over k distinct rows holds k rows and
+// builds k alias structures, plus one int32 per user — never a users ×
+// machines matrix. Sharing is safe: an Alias is immutable after
+// construction and Pick draws all randomness from the caller's per-user
+// stream.
 type routeTable struct {
-	profile game.Profile
-	// classOf maps each user to its class index.
+	// rows holds each class's strategy row, numbered in order of first
+	// appearance; classOf maps each user to its class.
+	rows    []game.Strategy
 	classOf []int32
 	// samplers and fallback are per class: the alias sampler over the
 	// class's strategy row, and the row's positive-weight backends in
 	// descending weight order (the steer-around-dead-machines path).
 	samplers []*rng.Alias
 	fallback [][]int32
-	// classes is the number of distinct strategy rows (== alias tables
-	// actually built); exposed on /routing as alias_classes.
-	classes int
 }
 
+// newRouteTable dedups p into class rows and resolves each once. Rows are
+// validated per class: bit-identical rows share one CheckStrategy verdict.
 func newRouteTable(p game.Profile, n int) (*routeTable, error) {
-	t := &routeTable{profile: p.Clone(), classOf: make([]int32, len(p))}
-	row := make([]float64, n)
-	key := make([]byte, 0, n*8)
-	index := make(map[string]int32)
-	for i := range p {
-		if err := game.CheckStrategy(p[i], n); err != nil {
+	rows, classOf := p.Rows()
+	t := &routeTable{
+		rows:     rows,
+		classOf:  classOf,
+		samplers: make([]*rng.Alias, len(rows)),
+		fallback: make([][]int32, len(rows)),
+	}
+	weights := make([]float64, n)
+	for c, row := range rows {
+		if err := game.CheckStrategy(row, n); err != nil {
 			return nil, err
-		}
-		key = key[:0]
-		for _, f := range p[i] {
-			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(f))
-		}
-		if c, ok := index[string(key)]; ok {
-			t.classOf[i] = c
-			continue
 		}
 		// CheckStrategy tolerates fractions down to -FeasibilityTol;
 		// clamp those to zero weight for the sampler.
-		for j, f := range p[i] {
-			row[j] = math.Max(f, 0)
+		for j, f := range row {
+			weights[j] = math.Max(f, 0)
 		}
-		a, err := rng.NewAlias(row)
+		a, err := rng.NewAlias(weights)
 		if err != nil {
-			return nil, fmt.Errorf("serve: user %d: %w", i, err)
+			return nil, fmt.Errorf("serve: class %d: %w", c, err)
 		}
-		c := int32(len(t.samplers))
-		index[string(key)] = c
-		t.classOf[i] = c
-		t.samplers = append(t.samplers, a)
-		t.fallback = append(t.fallback, weightOrder(t.profile[i], true))
+		t.samplers[c] = a
+		t.fallback[c] = weightOrder(row, true)
 	}
-	t.classes = len(t.samplers)
 	return t, nil
+}
+
+// routes reports whether the table routes by exactly profile p: user i's
+// row equals its class row in every entry.
+func (t *routeTable) routes(p game.Profile) bool {
+	if len(p) != len(t.classOf) {
+		return false
+	}
+	for i, st := range p {
+		if !st.Equal(t.rows[t.classOf[i]]) {
+			return false
+		}
+	}
+	return true
 }
 
 // weightOrder returns backend indices ordered by descending weight, stably
@@ -381,6 +388,9 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		return nil, err
 	}
 	_ = g.install(nil, table, nil, nil)
+	// The route table holds the profile as class rows; keeping the
+	// caller's dense copy would cost users × machines floats for nothing.
+	g.cfg.Profile = nil
 	if cfg.ProbeEvery > 0 {
 		g.health = newHealthTracker(n, cfg.Breaker, cfg.RampSteps)
 		g.lastWeights = make([]float64, n)
@@ -446,9 +456,11 @@ func (g *Gateway) URL() string {
 	return "http://" + g.Addr()
 }
 
-// Profile returns a copy of the currently installed routing profile.
+// Profile returns a copy of the currently installed routing profile,
+// expanded from the table's class rows.
 func (g *Gateway) Profile() game.Profile {
-	return g.table.Load().profile.Clone()
+	t := g.table.Load()
+	return game.ExpandRows(t.rows, t.classOf)
 }
 
 // Metrics returns a consistent snapshot of the gateway's counters, extended
@@ -867,10 +879,12 @@ func (g *Gateway) renderHealth(b *strings.Builder) {
 	w("nashgate_admit_fraction %g\n", admit)
 }
 
-// RoutingStatus is the wire form of /routing: the live strategy profile and
-// the re-equilibration counters.
+// RoutingStatus is the wire form of /routing: the installed table's
+// distinct strategy rows with their member counts, and the
+// re-equilibration counters. Its size is bounded by classes and machines,
+// never by users.
 type RoutingStatus struct {
-	Profile    game.Profile `json:"profile"`
+	Rows       []RoutingRow `json:"rows"`
 	Rebalances int64        `json:"rebalances"`
 	Polls      int64        `json:"polls"`
 	Saturated  bool         `json:"saturated"`
@@ -880,15 +894,30 @@ type RoutingStatus struct {
 	AliasClasses int `json:"alias_classes"`
 }
 
+// RoutingRow is one class of the installed table: its strategy row and the
+// number of users it routes.
+type RoutingRow struct {
+	Strategy game.Strategy `json:"strategy"`
+	Members  int           `json:"members"`
+}
+
 func (g *Gateway) handleRouting(w http.ResponseWriter, r *http.Request) {
+	table := g.table.Load()
+	rows := make([]RoutingRow, len(table.rows))
+	for c, st := range table.rows {
+		rows[c].Strategy = st
+	}
+	for _, c := range table.classOf {
+		rows[c].Members++
+	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(RoutingStatus{
-		Profile:      g.Profile(),
+		Rows:         rows,
 		Rebalances:   g.met.rebalances.Load(),
 		Polls:        g.met.polls.Load(),
 		Saturated:    g.satur.Load(),
 		Degraded:     g.Degraded(),
-		AliasClasses: g.table.Load().classes,
+		AliasClasses: len(table.rows),
 	})
 }
 

@@ -125,8 +125,8 @@ func TestRouteTableMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if table.classes != 1 {
-		t.Fatalf("3 duplicate rows built %d classes, want 1", table.classes)
+	if len(table.rows) != 1 {
+		t.Fatalf("3 duplicate rows built %d classes, want 1", len(table.rows))
 	}
 }
 

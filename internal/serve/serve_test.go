@@ -440,10 +440,10 @@ func TestGatewayRoutingEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Profile) != 1 || len(st.Profile[0]) != 2 {
-		t.Fatalf("routing profile shape %v", st.Profile)
+	if len(st.Rows) != 1 || !st.Rows[0].Strategy.Equal(game.Strategy{0.5, 0.5}) || st.Rows[0].Members != 1 {
+		t.Fatalf("routing rows = %+v, want one row {0.5, 0.5} with 1 member", st.Rows)
 	}
-	if st.Profile[0][0] != 0.5 || st.Saturated {
+	if st.AliasClasses != 1 || st.Saturated {
 		t.Fatalf("routing status = %+v", st)
 	}
 }

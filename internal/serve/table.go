@@ -61,7 +61,7 @@ func (g *Gateway) InstallTable(t Table) error {
 	// is bitwise-identical to the installed one, the pre-resolved table is
 	// reused and only the fence, active set and admission state advance.
 	table := g.table.Load()
-	if !table.profile.Equal(t.Profile) {
+	if !table.routes(t.Profile) {
 		var err error
 		table, err = newRouteTable(t.Profile, n)
 		if err != nil {

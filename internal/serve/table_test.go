@@ -283,8 +283,8 @@ func TestRouteTableAliasSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if table.classes != len(rows) {
-		t.Fatalf("classes = %d, want %d", table.classes, len(rows))
+	if len(table.rows) != len(rows) {
+		t.Fatalf("classes = %d, want %d", len(table.rows), len(rows))
 	}
 	for i := range p {
 		if table.classOf[i] != table.classOf[i%len(rows)] {
